@@ -1,0 +1,135 @@
+"""Golden-output gate: every CLI output byte, pinned by SHA-256.
+
+The inputs are closed-form integer tiles written as raw P5 bytes, with no
+random number generator and no package code involved, so neither a change to
+numpy's streams nor one to the package's own PGM writer can move them.  Each
+case runs ``texent.cli.run`` and hashes its stdout together with every file
+it writes.  Cases that take ``--threads`` run with 1 and with 2 threads, which
+must give the same bytes.  The 27 calls cover ``entropy``, ``glcm``, ``fbim``
+for three features, and ``classify``/``compare`` in split, ``--trials``,
+``--test`` and centroid modes.
+
+The digests were recorded with Python 3.11 and numpy 2.4.6.  A change that
+moves an output byte on purpose updates the digest here and says why.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from texent.cli import run
+
+TRAIN_TILES = range(6)
+TEST_TILES = range(6, 10)
+CLASSES = range(3)
+
+
+def _tile(k, t, size=16):
+    i = np.arange(size)[:, None]
+    j = np.arange(size)[None, :]
+    return ((i * (3 + k) + j * (5 + 2 * t) + (i * j) % (7 + k)) * (k + 1)) % 256
+
+
+def _write_p5(path, pixels):
+    h, w = pixels.shape
+    path.write_bytes(f"P5\n{w} {h}\n255\n".encode("ascii")
+                     + pixels.astype(np.uint8).tobytes())
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("golden")
+    for corpus, tiles in (("train", TRAIN_TILES), ("test", TEST_TILES)):
+        for k in CLASSES:
+            (root / corpus / f"c{k}").mkdir(parents=True)
+            for t in tiles:
+                _write_p5(root / corpus / f"c{k}" / f"t{t}.pgm", _tile(k, t))
+    _write_p5(root / "image.pgm", _tile(1, 2, size=24))
+    return root
+
+
+# name -> (argv with {image}/{train}/{test} placeholders, output flags, takes --threads)
+CASES = {
+    "entropy-drange": (["entropy", "{image}", "--drange", "1:4"], (), False),
+    "entropy-renyi": (["entropy", "{image}", "--measure", "renyi", "--alpha", "3",
+                       "--dist", "2"], (), False),
+    "entropy-normalized": (["entropy", "{image}", "--measure", "proposed-normalized",
+                            "--levels", "16", "--symmetric", "--dist", "1"], (), False),
+    "glcm-stdout": (["glcm", "{image}", "--dist", "2", "--angle", "45",
+                     "--levels", "16"], (), False),
+    "glcm-file": (["glcm", "{image}", "--dist", "3", "--angle", "270",
+                   "--symmetric"], ("--out",), False),
+    "fbim-proposed": (["fbim", "{image}", "--dmax", "6"], ("--out", "--csv"), True),
+    "fbim-correlation": (["fbim", "{image}", "--feature", "correlation", "--dmax", "6"],
+                         ("--out", "--csv"), True),
+    "fbim-tsallis": (["fbim", "{image}", "--feature", "tsallis", "--q", "3",
+                      "--dmax", "6", "--symmetric"], ("--out", "--csv"), True),
+    "classify-split": (["classify", "--train", "{train}", "--drange", "1:3",
+                        "--seed", "7"], ("--report", "--features-out"), True),
+    "classify-trials": (["classify", "--train", "{train}", "--drange", "1:3",
+                         "--trials", "3", "--measure", "shannon"],
+                        ("--report", "--features-out"), True),
+    "classify-test": (["classify", "--train", "{train}", "--test", "{test}",
+                       "--dist", "2"], ("--report", "--features-out"), True),
+    "classify-centroid": (["classify", "--train", "{train}", "--classifier", "centroid",
+                           "--levels", "16", "--dist", "1", "--symmetric"],
+                          ("--report", "--features-out"), True),
+    "compare-split": (["compare", "--train", "{train}", "--drange", "1:3",
+                       "--seed", "7"], ("--report", "--features-out"), True),
+    "compare-trials": (["compare", "--train", "{train}", "--drange", "1:3",
+                        "--trials", "3", "--alpha", "3", "--q", "0.5"],
+                       ("--report", "--features-out"), True),
+    "compare-test": (["compare", "--train", "{train}", "--test", "{test}",
+                      "--dist", "2"], ("--report",), True),
+    "compare-centroid": (["compare", "--train", "{train}", "--classifier", "centroid",
+                          "--levels", "16", "--dist", "1", "--symmetric"],
+                         ("--report", "--features-out"), True),
+}
+
+GOLDEN = {
+    "classify-centroid": "3d8cfb5abe655dbd74c6dda339b7df405f4fcfbb03af742ecbc376643cb5dc70",
+    "classify-split": "7d7976b4aa5e9251de505eae5b2e6cad7ff0725cf7652c25d3e3832b80b6bebe",
+    "classify-test": "d2532300927a9af204423f1c4a0013d9c444aff6f12e3960742a3c21f485cfed",
+    "classify-trials": "e586f9d1eee481f0d01ae785c633e38fcd3b6c4d7ec23cf32db46c8b5c53e0f9",
+    "compare-centroid": "ca6566ee19a8d4bc3670fdd6656d79a126138d132855f3201959df3ad838abc5",
+    "compare-split": "0038fd0aabcb7e95f4f59d74ac74e5a61356846905bf5f3ef8de752e22617e35",
+    "compare-test": "7ea46c0cd2f77d3a6b770fbe4b74fdd6a84ffbe7fa83e9be8f338b4208022413",
+    "compare-trials": "8037d92d9ea4129c60454d243037f0207c56e42d254e739fab537807bbf391b0",
+    "entropy-drange": "59b2e646d6e64f3be7aa64d4e2dda5fb6c9f64bb447a52a49f4bc670e2efd35e",
+    "entropy-normalized": "b9c855fd61e10a7dc3251adf9383406ea1efb32303be9006ebcb650746aa7c29",
+    "entropy-renyi": "03129c1ef45402a1864093bf042dcf571874279905677919da9e0837d006b597",
+    "fbim-correlation": "0c8dcf1c7bda181e7455b991672328028ba5cbddc4f65f9f874699c4a1bcc880",
+    "fbim-proposed": "b66f1d74e3e6591c63da7f5c981993f86fa3899d75e02a7a18cdcb2d45bd8902",
+    "fbim-tsallis": "534a64d24e80cab301933eb9ab6bbc88d55d2b1a2e7ddd56c5a3017126d52631",
+    "glcm-file": "9cfab3b52f25da84a360213ec4ee2fecdc90db93a0ee3a96fd57973202f3b075",
+    "glcm-stdout": "e6d5978e48218de45412edc51def678637046a2f896063cc6a08ac9d8ec2ab62",
+}
+
+
+def _digest(inputs, out_dir, name, threads, capsys):
+    argv, outputs, _ = CASES[name]
+    argv = [a.format(image=inputs / "image.pgm", train=inputs / "train",
+                     test=inputs / "test") for a in argv]
+    out_dir.mkdir()
+    paths = [out_dir / f"out{n}" for n in range(len(outputs))]
+    for flag, path in zip(outputs, paths):
+        argv += [flag, str(path)]
+    if threads is not None:
+        argv += ["--threads", str(threads)]
+    capsys.readouterr()
+    assert run(argv) == 0
+    h = hashlib.sha256(capsys.readouterr().out.encode("utf-8"))
+    for path in paths:
+        h.update(b"\0" + path.read_bytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_output(inputs, tmp_path, capsys, name):
+    if CASES[name][2]:
+        one, two = (_digest(inputs, tmp_path / f"t{n}", name, n, capsys) for n in (1, 2))
+        assert one == two, "--threads 1 and --threads 2 wrote different bytes"
+    else:
+        one = _digest(inputs, tmp_path / "out", name, None, capsys)
+    assert one == GOLDEN[name]
