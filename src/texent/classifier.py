@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -18,7 +19,10 @@ __all__ = [
     "train",
     "classify",
     "evaluate",
+    "two_way",
     "cross_validate",
+    "mean_report",
+    "report_table",
     "report_csv",
 ]
 
@@ -121,6 +125,13 @@ def evaluate(model: TrainedModel, test_set: LabeledFeatureSet) -> EvalReport:
     )
 
 
+def two_way(
+    set_a: LabeledFeatureSet, set_b: LabeledFeatureSet, kind: str = ONE_NN
+) -> tuple[EvalReport, EvalReport]:
+    """Train on ``set_a`` and test on ``set_b``, then the reverse."""
+    return evaluate(train(set_a, kind), set_b), evaluate(train(set_b, kind), set_a)
+
+
 def cross_validate(
     full_set: LabeledFeatureSet, spec: SplitSpec, kind: str = ONE_NN
 ) -> tuple[EvalReport, EvalReport]:
@@ -129,23 +140,36 @@ def cross_validate(
     The first report trains on the split's train fold and tests on its test
     fold; the second swaps them.
     """
-    train_set, test_set = split(full_set, spec)
-    fold_a = evaluate(train(train_set, kind), test_set)
-    fold_b = evaluate(train(test_set, kind), train_set)
-    return fold_a, fold_b
+    return two_way(*split(full_set, spec), kind)
+
+
+def mean_report(reports: Sequence[EvalReport]) -> EvalReport:
+    """Mean accuracies and summed confusions of reports over the same classes."""
+    n = len(reports)
+    per_class = {label: sum(r.per_class_accuracy[label] for r in reports) / n
+                 for label in reports[0].per_class_accuracy}
+    return EvalReport(labels=reports[0].labels,
+                      confusion=np.sum([r.confusion for r in reports], axis=0),
+                      per_class_accuracy=per_class,
+                      average_accuracy=sum(r.average_accuracy for r in reports) / n)
+
+
+def report_table(pairs: dict[str, tuple[EvalReport, EvalReport]]) -> str:
+    """CSV columns ``class,<name>_v,<name>_cv,...`` for each named report pair.
+
+    Rows cover every class of any report, ascending, then an average row; a
+    report without the class leaves its field empty.
+    """
+    reports = [r for pair in pairs.values() for r in pair]
+    classes = sorted(set().union(*(r.per_class_accuracy for r in reports)))
+    lines = [",".join(["class"] + [f"{name}_{s}" for name in pairs for s in ("v", "cv")])]
+    for label in classes:
+        accs = (r.per_class_accuracy.get(label) for r in reports)
+        lines.append(",".join([label] + ["" if a is None else sig15(a) for a in accs]))
+    lines.append(",".join(["average"] + [sig15(r.average_accuracy) for r in reports]))
+    return "\n".join(lines) + "\n"
 
 
 def report_csv(validation: EvalReport, cross: EvalReport) -> str:
     """CSV rows ``class,accuracy_v,accuracy_cv`` plus a final average row."""
-    classes = sorted(set(validation.per_class_accuracy) | set(cross.per_class_accuracy))
-    lines = ["class,accuracy_v,accuracy_cv"]
-    for label in classes:
-        v = validation.per_class_accuracy.get(label)
-        c = cross.per_class_accuracy.get(label)
-        lines.append(
-            f"{label},{'' if v is None else sig15(v)},{'' if c is None else sig15(c)}"
-        )
-    lines.append(
-        f"average,{sig15(validation.average_accuracy)},{sig15(cross.average_accuracy)}"
-    )
-    return "\n".join(lines) + "\n"
+    return report_table({"accuracy": (validation, cross)})

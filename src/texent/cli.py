@@ -7,11 +7,10 @@ the offending flag or file), and 2 for I/O or parse failures.
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from . import classifier, dataset, fbim, glcm, measures
 from ._text import sig15
@@ -37,10 +36,6 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _default_threads() -> int:
-    return os.cpu_count() or 1
-
-
 def _add_common(p, *, levels=True, symmetric=True, threads=False):
     if levels:
         p.add_argument("--levels", type=int, default=256,
@@ -49,7 +44,7 @@ def _add_common(p, *, levels=True, symmetric=True, threads=False):
         p.add_argument("--symmetric", action="store_true",
                        help="count each pixel pair in both directions")
     if threads:
-        p.add_argument("--threads", type=int, default=_default_threads(),
+        p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
                        help="worker threads (default: hardware parallelism)")
 
 
@@ -148,9 +143,7 @@ def _load_image(path: str, levels: int) -> glcm.GrayImage:
         img = dataset.read_pgm(path)
     except PgmError as e:
         raise PgmError(f"{path}: {e}") from None
-    if levels < img.levels:
-        img = img.quantize(levels)
-    return img
+    return img.quantize(min(levels, img.levels))
 
 
 def _measure_from(name: str, alpha: float, q: float) -> measures.EntropyMeasure:
@@ -224,112 +217,64 @@ def _cmd_fbim(args) -> int:
     return 0
 
 
-def _corpus_features(args, measure_by_key):
+def _corpus_features(args, measure_by_column, roots):
+    """Feature sets per measure for each corpus root, from tiles of one level count."""
     distances = _distances_from(args)
-    items = dataset.load_labeled_images(args.train)
-    if args.levels < 256:
-        items = [(lbl, src, img.quantize(min(args.levels, img.levels)))
-                 for lbl, src, img in items]
-    sets = dataset.build_feature_sets(items, measure_by_key, distances,
-                                      args.symmetric, args.threads)
-    test_sets = None
-    if args.test is not None:
-        test_items = dataset.load_labeled_images(args.test)
-        if args.levels < 256:
-            test_items = [(lbl, src, img.quantize(min(args.levels, img.levels)))
-                          for lbl, src, img in test_items]
-        test_sets = dataset.build_feature_sets(test_items, measure_by_key, distances,
-                                               args.symmetric, args.threads)
-    return sets, test_sets
+    corpora = [[(label, tile, img.quantize(min(args.levels, img.levels)))
+                for label, tile, img in dataset.load_labeled_images(root)]
+               for root in roots]
+    # Features of tiles with different level counts lie on different scales.
+    first_label, first_tile, first = corpora[0][0]
+    for label, tile, img in itertools.chain(*corpora):
+        if img.levels != first.levels:
+            raise DomainError(f"tile {label}/{tile} has {img.levels} gray levels but "
+                              f"{first_label}/{first_tile} has {first.levels}; "
+                              f"use --levels to quantize every tile alike")
+    return [dataset.build_feature_sets(items, measure_by_column, distances,
+                                       args.symmetric, args.threads)
+            for items in corpora]
 
 
-def _mean_reports(reports):
-    per_class = {}
-    for label in reports[0].per_class_accuracy:
-        per_class[label] = sum(r.per_class_accuracy[label] for r in reports) / len(reports)
-    confusion = np.sum([r.confusion for r in reports], axis=0)
-    average = sum(r.average_accuracy for r in reports) / len(reports)
-    return classifier.EvalReport(
-        labels=reports[0].labels,
-        confusion=confusion,
-        per_class_accuracy=per_class,
-        average_accuracy=average,
-    )
-
-
-def _evaluate_pair(args, full_set, test_set):
+def _evaluate_pair(args, full_set, test_set=None):
     """(validation, cross-validation) reports for one measure's features."""
     if test_set is not None:
         if args.trials != 1:
             raise DomainError("--trials applies only when --test is omitted")
-        fold_a = classifier.evaluate(classifier.train(full_set, args.classifier), test_set)
-        fold_b = classifier.evaluate(classifier.train(test_set, args.classifier), full_set)
-        return fold_a, fold_b
+        return classifier.two_way(full_set, test_set, args.classifier)
     if args.trials < 1:
         raise DomainError(f"--trials must be >= 1, got {args.trials}")
-    folds_a, folds_b = [], []
-    for trial in range(args.trials):
-        spec = dataset.SplitSpec(seed=args.seed + trial, fraction=args.fraction)
-        a, b = classifier.cross_validate(full_set, spec, args.classifier)
-        folds_a.append(a)
-        folds_b.append(b)
-    if args.trials == 1:
-        return folds_a[0], folds_b[0]
-    return _mean_reports(folds_a), _mean_reports(folds_b)
+    specs = (dataset.SplitSpec(seed=args.seed + trial, fraction=args.fraction)
+             for trial in range(args.trials))
+    folds = [classifier.cross_validate(full_set, spec, args.classifier) for spec in specs]
+    return tuple(classifier.mean_report(reports) for reports in zip(*folds))
+
+
+def _classify_all(args, measure_by_column):
+    """Write the report and the first measure's feature table; return the reports."""
+    roots = [args.train] if args.test is None else [args.train, args.test]
+    per_root = _corpus_features(args, measure_by_column, roots)
+    if args.features_out:
+        first = next(iter(measure_by_column))
+        dataset.write_feature_csv(args.features_out, dataset.LabeledFeatureSet(
+            r for sets in per_root for r in sets[first].records))
+    pairs = {column: _evaluate_pair(args, *(sets[column] for sets in per_root))
+             for column in measure_by_column}
+    Path(args.report).write_text(classifier.report_table(pairs))
+    return pairs
 
 
 def _cmd_classify(args) -> int:
     measure = _measure_from(args.measure, args.alpha, args.q)
-    sets, test_sets = _corpus_features(args, {"m": measure})
-    full_set = sets["m"]
-    if args.features_out:
-        table = full_set if test_sets is None else dataset.LabeledFeatureSet(
-            list(full_set.records) + list(test_sets["m"].records)
-        )
-        dataset.write_feature_csv(args.features_out, table)
-    report_v, report_cv = _evaluate_pair(
-        args, full_set, None if test_sets is None else test_sets["m"]
-    )
-    Path(args.report).write_text(classifier.report_csv(report_v, report_cv))
-    print(f"average_v={sig15(report_v.average_accuracy)} "
-          f"average_cv={sig15(report_cv.average_accuracy)}")
+    v, cv = _classify_all(args, {"accuracy": measure})["accuracy"]
+    print(f"average_v={sig15(v.average_accuracy)} average_cv={sig15(cv.average_accuracy)}")
     return 0
 
 
 def _cmd_compare(args) -> int:
-    measure_by_key = {
+    pairs = _classify_all(args, {
         name: _measure_from(name, args.alpha, args.q) for name in _COMPARE_MEASURES
-    }
-    sets, test_sets = _corpus_features(args, measure_by_key)
-    if args.features_out:
-        dataset.write_feature_csv(args.features_out, sets[measures.PROPOSED])
-
-    results = {}
-    for name in _COMPARE_MEASURES:
-        results[name] = _evaluate_pair(
-            args, sets[name], None if test_sets is None else test_sets[name]
-        )
-
-    classes = sorted(results[_COMPARE_MEASURES[0]][0].per_class_accuracy)
-    header = ["class"]
-    for name in _COMPARE_MEASURES:
-        header += [f"{name}_v", f"{name}_cv"]
-    lines = [",".join(header)]
-    for label in classes:
-        row = [label]
-        for name in _COMPARE_MEASURES:
-            v, cv = results[name]
-            row += [sig15(v.per_class_accuracy[label]), sig15(cv.per_class_accuracy[label])]
-        lines.append(",".join(row))
-    row = ["average"]
-    for name in _COMPARE_MEASURES:
-        v, cv = results[name]
-        row += [sig15(v.average_accuracy), sig15(cv.average_accuracy)]
-    lines.append(",".join(row))
-    Path(args.report).write_text("\n".join(lines) + "\n")
-
-    for name in _COMPARE_MEASURES:
-        v, cv = results[name]
+    })
+    for name, (v, cv) in pairs.items():
         print(f"{name} average_v={sig15(v.average_accuracy)} "
               f"average_cv={sig15(cv.average_accuracy)}")
     return 0
@@ -351,10 +296,7 @@ def run(argv) -> int:
     except DomainError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except PgmError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
+    except (PgmError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except SystemExit as e:  # argparse --help

@@ -14,13 +14,13 @@ classes visited in ascending label order.
 from __future__ import annotations
 
 import csv
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
+from ._pool import parallel_map
 from ._text import sig15
 from .errors import DomainError, PgmError
 from .glcm import GrayImage, SpacingVector, compute_glcm, glcp
@@ -393,16 +393,8 @@ def build_feature_sets(
     worker count.
     """
     ds = _distance_list(distances)
-
-    def work(item):
-        _, _, img = item
-        return _extract_multi(img, measures, ds, symmetric)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            per_tile = list(pool.map(work, items))
-    else:
-        per_tile = [work(item) for item in items]
+    per_tile = parallel_map(lambda item: _extract_multi(item[2], measures, ds, symmetric),
+                            items, threads)
 
     out = {}
     for key in measures:

@@ -8,11 +8,11 @@ ridges of extreme feature values line up with the texture period.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._pool import parallel_map
 from ._text import sig15
 from .errors import DegenerateVarianceError, DomainError
 from .glcm import ANGLES, GrayImage, SpacingVector, compute_glcm, correlation, glcm_entropy
@@ -87,13 +87,8 @@ def compute_fbim(
         for r in range(len(ANGLES))
         for c in range(d_max)
     ]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            cells = list(
-                pool.map(lambda s: _cell_feature(img, feature, s, symmetric), spacings)
-            )
-    else:
-        cells = [_cell_feature(img, feature, s, symmetric) for s in spacings]
+    cells = parallel_map(lambda s: _cell_feature(img, feature, s, symmetric),
+                         spacings, threads)
     values = np.array(cells, dtype=np.float64).reshape(len(ANGLES), d_max)
     values.setflags(write=False)
     return Fbim(values=values, feature_name=name)

@@ -76,6 +76,18 @@ def _checked(values: Iterable[float], ndim: int, what: str) -> np.ndarray:
     return arr
 
 
+def _rescaled(weights, ndim: int) -> np.ndarray:
+    arr = np.ascontiguousarray(weights, dtype=np.float64)
+    if arr.ndim != ndim or arr.size == 0:
+        raise DomainError(f"weights must be a non-empty {ndim}-D array of reals")
+    if np.any(arr < 0.0):
+        raise DomainError("weights must be non-negative")
+    total = float(arr.sum())
+    if total <= 0.0:
+        raise DomainError("weights must have a positive total")
+    return arr / total
+
+
 class ProbDist:
     """A complete finite probability distribution (p_1, ..., p_n).
 
@@ -92,15 +104,7 @@ class ProbDist:
     @classmethod
     def normalize(cls, weights: Iterable[float]) -> "ProbDist":
         """Explicitly rescale non-negative weights to a unit-sum distribution."""
-        arr = np.ascontiguousarray(weights, dtype=np.float64)
-        if arr.ndim != 1 or arr.size == 0:
-            raise DomainError("weights must be a non-empty 1-D array of reals")
-        if np.any(arr < 0.0):
-            raise DomainError("weights must be non-negative")
-        total = float(arr.sum())
-        if total <= 0.0:
-            raise DomainError("weights must have a positive total")
-        return cls(arr / total)
+        return cls(_rescaled(weights, 1))
 
     @property
     def probs(self) -> np.ndarray:
@@ -130,15 +134,7 @@ class JointDist:
     @classmethod
     def normalize(cls, weights) -> "JointDist":
         """Explicitly rescale a non-negative matrix to total mass 1."""
-        arr = np.ascontiguousarray(weights, dtype=np.float64)
-        if arr.ndim != 2 or arr.size == 0:
-            raise DomainError("weights must be a non-empty 2-D array of reals")
-        if np.any(arr < 0.0):
-            raise DomainError("weights must be non-negative")
-        total = float(arr.sum())
-        if total <= 0.0:
-            raise DomainError("weights must have a positive total")
-        return cls(arr / total)
+        return cls(_rescaled(weights, 2))
 
     @property
     def cells(self) -> np.ndarray:
@@ -290,28 +286,27 @@ def pal_pal(dist: ProbDist) -> float:
     return float(np.sum(p * np.exp(1.0 - p)))
 
 
+def _conditional(joint: JointDist, axis: int) -> float:
+    # Not the other form on transposed cells, which can differ in the last ulp.
+    cells = joint.cells
+    with np.errstate(invalid="ignore", divide="ignore"):
+        cond = cells / cells.sum(axis=axis, keepdims=True)
+        terms = np.where(cells > 0.0, cells * np.exp(-cond * cond), 0.0)
+    return float(terms.sum())
+
+
 def conditional_entropy_x_given_y(joint: JointDist) -> float:
     """sum over cells of p(x, y) * exp(-p(x|y)**2).
 
     p(x|y) is the cell divided by its column marginal; cells of zero mass
     contribute exactly 0, including whole columns of zero marginal.
     """
-    cells = joint.cells
-    col = cells.sum(axis=0)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        cond = cells / col[np.newaxis, :]
-        terms = np.where(cells > 0.0, cells * np.exp(-cond * cond), 0.0)
-    return float(terms.sum())
+    return _conditional(joint, 0)
 
 
 def conditional_entropy_y_given_x(joint: JointDist) -> float:
     """sum over cells of p(x, y) * exp(-p(y|x)**2), mirroring the X|Y form."""
-    cells = joint.cells
-    row = cells.sum(axis=1)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        cond = cells / row[:, np.newaxis]
-        terms = np.where(cells > 0.0, cells * np.exp(-cond * cond), 0.0)
-    return float(terms.sum())
+    return _conditional(joint, 1)
 
 
 def joint_entropy(joint: JointDist) -> float:

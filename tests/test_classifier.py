@@ -13,6 +13,7 @@ from texent import (
     report_csv,
     train,
 )
+from texent.classifier import mean_report, report_table, two_way
 
 
 def _set(rows):
@@ -146,3 +147,31 @@ class TestReportCsv:
         assert lines[0] == "class,accuracy_v,accuracy_cv"
         assert lines[1].startswith("c0,")
         assert lines[-1] == "average,1,1"
+
+    def test_table_leaves_missing_classes_blank(self):
+        fs_a = _set([("a", "t0", [0.0]), ("b", "t1", [1.0])])
+        fs_b = _set([("a", "t2", [0.0]), ("c", "t3", [2.0])])
+        pair = two_way(fs_a, fs_b, "1nn")
+        lines = report_table({"m1": pair, "m2": pair}).strip().split("\n")
+        assert lines[0] == "class,m1_v,m1_cv,m2_v,m2_cv"
+        # Only the report tested on fs_a has a b row; only the one tested on fs_b a c row.
+        assert lines[1:] == ["a,1,1,1,1", "b,,0,,0", "c,0,,0,", "average,0.5,0.5,0.5,0.5"]
+
+
+class TestMeanReport:
+    def test_mean_of_one_report_is_that_report(self):
+        fs = _set([(f"c{i % 3}", f"t{i}", [float(i % 4)]) for i in range(12)])
+        report = evaluate(train(fs, "1nn"), fs)
+        mean = mean_report([report])
+        assert mean.per_class_accuracy == report.per_class_accuracy
+        assert mean.average_accuracy == report.average_accuracy
+        assert np.array_equal(mean.confusion, report.confusion)
+
+    def test_two_reports_average(self):
+        fs = _set([("a", "t0", [0.0]), ("b", "t1", [1.0]), ("b", "t2", [0.1])])
+        perfect = evaluate(train(fs, "1nn"), fs)
+        half = evaluate(train(_set(fs.records[:2]), "1nn"), fs)
+        mean = mean_report([perfect, half])
+        assert mean.per_class_accuracy == {"a": 1.0, "b": 0.75}
+        assert mean.average_accuracy == (perfect.average_accuracy + half.average_accuracy) / 2
+        assert mean.confusion.sum() == 6

@@ -220,6 +220,80 @@ class TestCompareCommand:
         assert out.count("average_v=") == 5
 
 
+class TestSharedPipeline:
+    @pytest.fixture
+    def mismatched(self, tmp_path):
+        """Train classes c0..c3 and test classes c0, c1, c2, c9."""
+        roots = {}
+        for name, labels in (("A", ("c0", "c1", "c2", "c3")),
+                             ("B", ("c0", "c1", "c2", "c9"))):
+            for k, label in enumerate(labels):
+                (tmp_path / name / label).mkdir(parents=True)
+                for i in range(2):
+                    write_pgm(tmp_path / name / label / f"t{i}.pgm",
+                              stripe_image(16, 16, period=2 + k, duty=1, phase=i))
+            roots[name] = tmp_path / name
+        return roots
+
+    def test_compare_leaves_missing_classes_blank(self, mismatched, tmp_path, capsys):
+        report = tmp_path / "combined.csv"
+        rc = run(["compare", "--train", str(mismatched["A"]), "--test",
+                  str(mismatched["B"]), "--dist", "1", "--report", str(report)])
+        assert rc == 0
+        rows = {line.split(",")[0]: line.split(",")[1:]
+                for line in report.read_text().strip().split("\n")}
+        assert list(rows) == ["class", "c0", "c1", "c2", "c3", "c9", "average"]
+        # c3 is never tested in the train->test direction, c9 never in the reverse.
+        assert rows["c3"][0::2] == [""] * 5 and "" not in rows["c3"][1::2]
+        assert rows["c9"][1::2] == [""] * 5 and "" not in rows["c9"][0::2]
+
+    def test_compare_features_out_matches_classify(self, corpus, tmp_path):
+        tables = []
+        for command in ("classify", "compare"):
+            features = tmp_path / f"{command}.csv"
+            assert run([command, "--train", str(corpus), "--test", str(corpus),
+                        "--dist", "2", "--levels", "16",
+                        "--report", str(tmp_path / "r.csv"),
+                        "--features-out", str(features)]) == 0
+            tables.append(features.read_bytes())
+        assert tables[0] == tables[1]
+        assert len(tables[0].decode().strip().split("\n")) == 17
+
+    @pytest.mark.parametrize("threads", ["0", "-5"])
+    @pytest.mark.parametrize("command", ["fbim", "classify", "compare"])
+    def test_threads_below_one_rejected(self, command, threads, corpus, tmp_path,
+                                        capsys):
+        if command == "fbim":
+            argv = ["fbim", str(corpus / "noise" / "t0.pgm"), "--dmax", "3",
+                    "--out", str(tmp_path / "m.pgm")]
+        else:
+            argv = [command, "--train", str(corpus), "--dist", "2",
+                    "--report", str(tmp_path / "r.csv")]
+        assert run(argv + ["--threads", threads]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "threads" in err
+
+    @pytest.mark.parametrize("test_dir", [False, True])
+    def test_mixed_gray_levels_rejected(self, tmp_path, capsys, test_dir):
+        train = tmp_path / "train"
+        for cls in ("a", "b"):
+            (train / cls).mkdir(parents=True)
+            for i in range(2):
+                levels = 16 if (cls, i) == ("b", 1) and not test_dir else 256
+                write_pgm(train / cls / f"t{i}.pgm", noise_image(16, 16, i, levels))
+        argv = ["classify", "--train", str(train), "--dist", "1",
+                "--report", str(tmp_path / "r.csv")]
+        if test_dir:
+            (tmp_path / "test" / "a").mkdir(parents=True)
+            write_pgm(tmp_path / "test" / "a" / "t9.pgm", noise_image(16, 16, 9, 16))
+            argv += ["--test", str(tmp_path / "test")]
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert ("a/t9" if test_dir else "b/t1") in err and "16" in err and "256" in err
+        # Quantizing every tile to 16 levels makes the corpus consistent.
+        assert run(argv + ["--levels", "16"]) == 0
+
+
 class TestDeterminism:
     def test_identical_invocations_identical_outputs(self, corpus, tmp_path):
         texts = []
