@@ -36,25 +36,27 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _add_common(p, *, levels=True, symmetric=True, threads=False):
-    if levels:
-        p.add_argument("--levels", type=int, default=256,
-                       help="requantize the image down to this many gray bins (default 256)")
-    if symmetric:
-        p.add_argument("--symmetric", action="store_true",
-                       help="count each pixel pair in both directions")
+def _add_common(p, *, threads=False):
+    p.add_argument("--levels", type=int, default=256,
+                   help="requantize the image down to this many gray bins (default 256)")
+    p.add_argument("--symmetric", action="store_true",
+                   help="count each pixel pair in both directions")
     if threads:
-        p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                       help="worker threads (default: hardware parallelism)")
+        usable = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                  else os.cpu_count() or 1)
+        p.add_argument("--threads", type=int, default=usable,
+                       help="worker threads (default: CPUs this process may use)")
 
 
-def _add_measure(p, default="proposed"):
-    p.add_argument("--measure", choices=_MEASURE_CHOICES, default=default,
-                   help=f"entropy measure (default {default})")
-    p.add_argument("--alpha", type=float, default=2.0,
-                   help="Renyi order (default 2)")
-    p.add_argument("--q", type=float, default=2.0,
-                   help="Tsallis exponent (default 2)")
+def _add_orders(p):
+    p.add_argument("--alpha", type=float, default=2.0, help="Renyi order (default 2)")
+    p.add_argument("--q", type=float, default=2.0, help="Tsallis exponent (default 2)")
+
+
+def _add_measure(p):
+    p.add_argument("--measure", choices=_MEASURE_CHOICES, default=measures.PROPOSED,
+                   help="entropy measure (default proposed)")
+    _add_orders(p)
 
 
 def _add_distances(p):
@@ -96,8 +98,7 @@ def build_parser() -> _Parser:
     p.add_argument("--feature", default="proposed",
                    choices=_MEASURE_CHOICES + [fbim.CORRELATION],
                    help="feature to map (default proposed)")
-    p.add_argument("--alpha", type=float, default=2.0, help="Renyi order (default 2)")
-    p.add_argument("--q", type=float, default=2.0, help="Tsallis exponent (default 2)")
+    _add_orders(p)
     p.add_argument("--dmax", type=int, default=31,
                    help="largest spacing magnitude (default 31)")
     p.add_argument("--out", required=True, help="output PGM map")
@@ -113,8 +114,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("compare", help="run classify for every entropy measure")
     _add_classify_args(p)
-    p.add_argument("--alpha", type=float, default=2.0, help="Renyi order (default 2)")
-    p.add_argument("--q", type=float, default=2.0, help="Tsallis exponent (default 2)")
+    _add_orders(p)
     p.add_argument("--report", required=True, help="output combined report CSV")
     p.set_defaults(func=_cmd_compare)
 
@@ -139,10 +139,7 @@ def _add_classify_args(p):
 
 
 def _load_image(path: str, levels: int) -> glcm.GrayImage:
-    try:
-        img = dataset.read_pgm(path)
-    except PgmError as e:
-        raise PgmError(f"{path}: {e}") from None
+    img = dataset.read_pgm(path)
     return img.quantize(min(levels, img.levels))
 
 

@@ -14,6 +14,7 @@ classes visited in ascending label order.
 from __future__ import annotations
 
 import csv
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
@@ -49,48 +50,34 @@ __all__ = [
 #: Angles averaged over when extracting a per-tile feature.
 FEATURE_ANGLES = (0, 45, 90, 135)
 
-_WS = (0x20, 0x09, 0x0A, 0x0D, 0x0B, 0x0C)
+# Whitespace and '#' comments, then one token.  The lookahead keeps a comment
+# from ending early, so the token can never start inside a comment.
+_TOKEN = re.compile(rb"(?:\s|#[^\n\r]*(?=[\n\r]|\Z))*([^\s#]+)")
 
 
-def _next_token(data: bytes, pos: int) -> tuple[bytes, int, int]:
-    """Next whitespace-delimited header token, skipping '#' comments.
-
-    Returns (token, start offset, offset just past the token).
-    """
-    n = len(data)
-    while pos < n:
-        ch = data[pos]
-        if ch in _WS:
-            pos += 1
-        elif ch == 0x23:  # '#'
-            while pos < n and data[pos] not in (0x0A, 0x0D):
-                pos += 1
-        else:
-            break
-    if pos >= n:
-        raise PgmError("unexpected end of data in header", offset=pos)
-    start = pos
-    while pos < n and data[pos] not in _WS and data[pos] != 0x23:
-        pos += 1
-    return data[start:pos], start, pos
+def _token(data: bytes, pos: int) -> re.Match:
+    m = _TOKEN.match(data, pos)
+    if m is None:
+        raise PgmError("unexpected end of data in header", offset=len(data))
+    return m
 
 
 def _int_token(data: bytes, pos: int, what: str) -> tuple[int, int]:
-    token, start, end = _next_token(data, pos)
+    m = _token(data, pos)
     try:
-        value = int(token)
+        return int(m[1]), m.end()
     except ValueError:
-        raise PgmError(f"malformed {what} {token!r}", offset=start) from None
-    return value, end
+        raise PgmError(f"malformed {what} {m[1]!r}", offset=m.start(1)) from None
 
 
 def load_pgm(data: bytes) -> GrayImage:
     """Parse PGM bytes (binary P5 or ASCII P2, maxval <= 255) into an image.
 
-    Header comments are tolerated.  Parse failures report the byte offset
-    they were detected at.
+    '#' comments are accepted wherever whitespace is, including between P2
+    values.  Parse failures report the byte offset they were detected at.
     """
-    magic, start, pos = _next_token(data, 0)
+    m = _token(data, 0)
+    magic, start, pos = m[1], m.start(1), m.end()
     if magic not in (b"P5", b"P2"):
         if magic in (b"P1", b"P2", b"P3", b"P4", b"P5", b"P6", b"P7"):
             raise PgmError(
@@ -111,7 +98,7 @@ def load_pgm(data: bytes) -> GrayImage:
     count = width * height
     if magic == b"P5":
         # Exactly one whitespace byte separates the maxval from the payload.
-        if pos >= len(data) or data[pos] not in _WS:
+        if not data[pos : pos + 1].isspace():
             raise PgmError("missing whitespace before pixel data", offset=pos)
         payload = data[pos + 1 : pos + 1 + count]
         if len(payload) < count:
@@ -147,8 +134,13 @@ def save_pgm(img: GrayImage) -> bytes:
 
 
 def read_pgm(path) -> GrayImage:
-    """Load a PGM file from disk."""
-    return load_pgm(Path(path).read_bytes())
+    """Load a PGM file from disk; parse errors name the file."""
+    data = Path(path).read_bytes()
+    try:
+        return load_pgm(data)
+    except PgmError as e:
+        e.args = (f"{path}: {e}",)
+        raise
 
 
 def write_pgm(path, img: GrayImage) -> None:

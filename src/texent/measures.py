@@ -286,13 +286,17 @@ def pal_pal(dist: ProbDist) -> float:
     return float(np.sum(p * np.exp(1.0 - p)))
 
 
+def _gain_sum(p: np.ndarray, q: np.ndarray) -> float:
+    # sum(p * exp(-(p/q)**2)) where p > 0, so p = 0 cells give 0 even if q = 0.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        ratio = p / q
+        return float(np.where(p > 0.0, p * np.exp(-ratio * ratio), 0.0).sum())
+
+
 def _conditional(joint: JointDist, axis: int) -> float:
     # Not the other form on transposed cells, which can differ in the last ulp.
     cells = joint.cells
-    with np.errstate(invalid="ignore", divide="ignore"):
-        cond = cells / cells.sum(axis=axis, keepdims=True)
-        terms = np.where(cells > 0.0, cells * np.exp(-cond * cond), 0.0)
-    return float(terms.sum())
+    return _gain_sum(cells, cells.sum(axis=axis, keepdims=True))
 
 
 def conditional_entropy_x_given_y(joint: JointDist) -> float:
@@ -332,12 +336,7 @@ def relative_entropy(p_dist: ProbDist, q_dist: ProbDist) -> float:
         raise DomainError(
             f"distributions must share one length, got {p_dist.n} and {q_dist.n}"
         )
-    p = p_dist.probs
-    q = q_dist.probs
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        ratio = p / q
-        terms = np.where(p > 0.0, p * np.exp(-ratio * ratio), 0.0)
-    return H_MIN - float(terms.sum())
+    return H_MIN - _gain_sum(p_dist.probs, q_dist.probs)
 
 
 def apply_measure(measure: EntropyMeasure, dist: ProbDist) -> float:

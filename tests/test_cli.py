@@ -1,11 +1,13 @@
 """End-to-end tests of the command-line interface."""
 
+import os
+
 import numpy as np
 import pytest
 
 from conftest import noise_image, stripe_image
 from texent import GrayImage, SpacingVector, compute_glcm, read_pgm, write_pgm
-from texent.cli import run
+from texent.cli import build_parser, run
 
 
 @pytest.fixture
@@ -59,7 +61,27 @@ class TestExitCodes:
         bad.write_bytes(b"P5\n4 4\n255\n\x00")
         rc = run(["entropy", str(bad), "--dist", "1"])
         assert rc == 2
-        assert "bad.pgm" in capsys.readouterr().err
+        assert capsys.readouterr().err.count("bad.pgm") == 1
+
+    def test_corrupt_corpus_tile_names_the_file(self, corpus, tmp_path, capsys):
+        bad = corpus / "stripes" / "t1.pgm"
+        bad.write_bytes(b"P5\n4 4\n255\n\x00")
+        rc = run(["classify", "--train", str(corpus), "--dist", "1",
+                  "--report", str(tmp_path / "r.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert f"{bad}: truncated pixel data" in err
+
+    def test_threads_default_counts_usable_cpus(self, monkeypatch):
+        argv = ["fbim", "in.pgm", "--out", "map.pgm"]
+        monkeypatch.setattr(os, "cpu_count", lambda: 5)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3, 7}, raising=False)
+        assert build_parser().parse_args(argv).threads == 2
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert build_parser().parse_args(argv).threads == 5
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert build_parser().parse_args(argv).threads == 1
 
     def test_domain_error_names_problem(self, const_image, capsys):
         rc = run(["entropy", str(const_image), "--drange", "5:1"])

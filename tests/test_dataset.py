@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from conftest import noise_image, stripe_image
 from texent import (
@@ -83,6 +84,52 @@ class TestPgmLoad:
     def test_empty_input(self):
         with pytest.raises(PgmError):
             load_pgm(b"")
+
+    @pytest.mark.parametrize("data, expected", [
+        # A comment glued to a token ends the token.
+        (b"P2 2#c\n1 3#c\n0 1", ([[0, 1]], 4)),
+        # A comment that runs to the end of the data.
+        (b"P2 1 1 3 2 #end", ([[2]], 4)),
+        (b"P2 1 1 #end", ("unexpected end of data in header", 11)),
+        # Vertical tab, form feed and CR-only line ends separate tokens.
+        (b"P2\x0b2\x0c1\r3\r0\r1", ([[0, 1]], 4)),
+        (b"P2 2 1 3\n0 # mid\n1\n", ([[0, 1]], 4)),
+        # A malformed raster token is reported at its first byte.
+        (b"P2 2 1 3\n0 x1\n", ("malformed pixel value b'x1'", 11)),
+        # In P5 a glued comment leaves no whitespace before the payload.
+        (b"P5 1 1 255#c\n\x00", ("missing whitespace before pixel data", 10)),
+    ])
+    def test_token_edge_cases(self, data, expected):
+        first, second = expected
+        if isinstance(first, str):
+            with pytest.raises(PgmError) as err:
+                load_pgm(data)
+            assert str(err.value) == f"{first} (at byte {second})"
+            assert err.value.offset == second
+        else:
+            img = load_pgm(data)
+            assert img.pixels.tolist() == first and img.levels == second
+
+    @given(st.lists(st.one_of(
+        st.sampled_from([b"P2", b"P5", b"P6", b" ", b"\n", b"\r", b"\x0b", b"#c\n",
+                         b"#", b"0", b"1", b"2", b"3", b"255", b"256", b"-1", b"x"]),
+        st.binary(max_size=4)), max_size=24).map(b"".join))
+    def test_arbitrary_bytes_raise_only_pgm_error(self, data):
+        try:
+            img = load_pgm(data)
+        except PgmError:
+            return
+        assert isinstance(img, GrayImage)
+
+    @given(st.data())
+    def test_p5_round_trip_any_shape_and_levels(self, data):
+        levels = data.draw(st.integers(2, 256))
+        h, w = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6))
+        flat = data.draw(st.lists(st.integers(0, levels - 1), min_size=h * w,
+                                  max_size=h * w))
+        img = GrayImage(np.array(flat).reshape(h, w), levels)
+        back = load_pgm(save_pgm(img))
+        assert np.array_equal(back.pixels, img.pixels) and back.levels == levels
 
 
 class TestTile:
