@@ -16,14 +16,8 @@ from . import classifier, dataset, fbim, glcm, measures
 from ._text import sig15
 from .errors import DomainError, PgmError
 
-_MEASURE_CHOICES = list(measures.MEASURE_KINDS)
-_COMPARE_MEASURES = (
-    measures.PROPOSED,
-    measures.SHANNON,
-    measures.RENYI,
-    measures.TSALLIS,
-    measures.PAL_PAL,
-)
+_COMPARE_MEASURES = tuple(kind for kind in measures.MEASURE_KINDS
+                          if kind != measures.PROPOSED_NORMALIZED)
 
 
 class _UsageError(Exception):
@@ -54,7 +48,7 @@ def _add_orders(p):
 
 
 def _add_measure(p):
-    p.add_argument("--measure", choices=_MEASURE_CHOICES, default=measures.PROPOSED,
+    p.add_argument("--measure", choices=measures.MEASURE_KINDS, default=measures.PROPOSED,
                    help="entropy measure (default proposed)")
     _add_orders(p)
 
@@ -96,7 +90,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("fbim", help="write a polar interaction map as PGM and CSV")
     p.add_argument("image", help="input PGM")
     p.add_argument("--feature", default="proposed",
-                   choices=_MEASURE_CHOICES + [fbim.CORRELATION],
+                   choices=[*measures.MEASURE_KINDS, fbim.CORRELATION],
                    help="feature to map (default proposed)")
     _add_orders(p)
     p.add_argument("--dmax", type=int, default=31,
@@ -143,14 +137,6 @@ def _load_image(path: str, levels: int) -> glcm.GrayImage:
     return img.quantize(min(levels, img.levels))
 
 
-def _measure_from(name: str, alpha: float, q: float) -> measures.EntropyMeasure:
-    if name == measures.RENYI:
-        return measures.EntropyMeasure(name, alpha=alpha)
-    if name == measures.TSALLIS:
-        return measures.EntropyMeasure(name, q=q)
-    return measures.EntropyMeasure(name)
-
-
 def _distances_from(args) -> "int | list[int]":
     if args.drange is None:
         if args.dist < 1:
@@ -193,7 +179,7 @@ def _cmd_glcm(args) -> int:
 
 def _cmd_entropy(args) -> int:
     img = _load_image(args.image, args.levels)
-    measure = _measure_from(args.measure, args.alpha, args.q)
+    measure = measures.EntropyMeasure.select(args.measure, args.alpha, args.q)
     values = dataset.extract_feature(img, measure, _distances_from(args), args.symmetric)
     for v in values:
         print(sig15(v))
@@ -202,10 +188,8 @@ def _cmd_entropy(args) -> int:
 
 def _cmd_fbim(args) -> int:
     img = _load_image(args.image, args.levels)
-    if args.feature == fbim.CORRELATION:
-        feature = fbim.CORRELATION
-    else:
-        feature = _measure_from(args.feature, args.alpha, args.q)
+    feature = (args.feature if args.feature == fbim.CORRELATION
+               else measures.EntropyMeasure.select(args.feature, args.alpha, args.q))
     f = fbim.compute_fbim(img, feature, d_max=args.dmax,
                           symmetric=args.symmetric, threads=args.threads)
     dataset.write_pgm(args.out, fbim.fbim_to_image(f))
@@ -261,7 +245,7 @@ def _classify_all(args, measure_by_column):
 
 
 def _cmd_classify(args) -> int:
-    measure = _measure_from(args.measure, args.alpha, args.q)
+    measure = measures.EntropyMeasure.select(args.measure, args.alpha, args.q)
     v, cv = _classify_all(args, {"accuracy": measure})["accuracy"]
     print(f"average_v={sig15(v.average_accuracy)} average_cv={sig15(cv.average_accuracy)}")
     return 0
@@ -269,7 +253,8 @@ def _cmd_classify(args) -> int:
 
 def _cmd_compare(args) -> int:
     pairs = _classify_all(args, {
-        name: _measure_from(name, args.alpha, args.q) for name in _COMPARE_MEASURES
+        name: measures.EntropyMeasure.select(name, args.alpha, args.q)
+        for name in _COMPARE_MEASURES
     })
     for name, (v, cv) in pairs.items():
         print(f"{name} average_v={sig15(v.average_accuracy)} "

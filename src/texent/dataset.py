@@ -14,6 +14,7 @@ classes visited in ascending label order.
 from __future__ import annotations
 
 import csv
+import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -64,10 +65,13 @@ def _token(data: bytes, pos: int) -> re.Match:
 
 def _int_token(data: bytes, pos: int, what: str) -> tuple[int, int]:
     m = _token(data, pos)
+    token = m[1]
     try:
-        return int(m[1]), m.end()
-    except ValueError:
-        raise PgmError(f"malformed {what} {m[1]!r}", offset=m.start(1)) from None
+        if token.isdigit():
+            return int(token), m.end()
+    except ValueError:  # more digits than int() converts
+        pass
+    raise PgmError(f"malformed {what} {token!r}", offset=m.start(1))
 
 
 def load_pgm(data: bytes) -> GrayImage:
@@ -116,11 +120,13 @@ def load_pgm(data: bytes) -> GrayImage:
     else:
         values = []
         for _ in range(count):
-            value, pos = _int_token(data, pos, "pixel value")
+            value, end = _int_token(data, pos, "pixel value")
+            if value > maxval:
+                raise PgmError(f"pixel value {value} exceeds maxval {maxval}",
+                               offset=_token(data, pos).start(1))
             values.append(value)
+            pos = end
         arr = np.array(values, dtype=np.int64)
-        if arr.min() < 0 or arr.max() > maxval:
-            raise PgmError(f"pixel value outside [0, {maxval}]", offset=pos)
     return GrayImage(arr.reshape(height, width), levels=maxval + 1)
 
 
@@ -182,14 +188,16 @@ def _extract_multi(
 ) -> dict[str, list[float]]:
     # One GLCP per (distance, angle), shared across every measure.
     out: dict[str, list[float]] = {key: [] for key in measures}
-    for d in distances:
-        dists = [
-            glcp(compute_glcm(img, SpacingVector(d=d, theta=theta), symmetric))
-            for theta in FEATURE_ANGLES
-        ]
-        for key, measure in measures.items():
-            vals = [apply_measure(measure, p) for p in dists]
-            out[key].append(sum(vals) / len(vals))
+    # Extreme orders overflow quietly; LabeledFeatureSet names the tile.
+    with np.errstate(all="ignore"):
+        for d in distances:
+            dists = [
+                glcp(compute_glcm(img, SpacingVector(d=d, theta=theta), symmetric))
+                for theta in FEATURE_ANGLES
+            ]
+            for key, measure in measures.items():
+                vals = [apply_measure(measure, p) for p in dists]
+                out[key].append(sum(vals) / len(vals))
     return out
 
 
@@ -226,14 +234,15 @@ class LabeledFeatureSet:
             Record(str(label), str(source), tuple(float(x) for x in features))
             for label, source, features in records
         )
-        if recs:
-            dim = len(recs[0].features)
-            for r in recs:
-                if len(r.features) != dim:
-                    raise DomainError(
-                        f"feature vectors must share one length; {r.source!r} has "
-                        f"{len(r.features)}, expected {dim}"
-                    )
+        dim = len(recs[0].features) if recs else 0
+        for r in recs:
+            if len(r.features) != dim:
+                raise DomainError(
+                    f"feature vectors must share one length; {r.source!r} has "
+                    f"{len(r.features)}, expected {dim}"
+                )
+            if not all(map(math.isfinite, r.features)):
+                raise DomainError(f"tile {r.label}/{r.source} has a non-finite feature value")
         self._records = recs
 
     @property

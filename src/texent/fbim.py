@@ -66,16 +66,14 @@ def compute_fbim(
     """
     if d_max < 1:
         raise DomainError(f"d_max must be >= 1, got {d_max}")
-    if isinstance(feature, str):
-        if feature != CORRELATION:
-            raise DomainError(
-                f"feature must be an EntropyMeasure or {CORRELATION!r}, got {feature!r}"
-            )
-        name = CORRELATION
-    elif isinstance(feature, EntropyMeasure):
+    if isinstance(feature, EntropyMeasure):
         name = feature.kind
+    elif isinstance(feature, str) and feature == CORRELATION:
+        name = CORRELATION
     else:
-        raise DomainError(f"unsupported feature selector {feature!r}")
+        raise DomainError(
+            f"feature must be an EntropyMeasure or {CORRELATION!r}, got {feature!r}"
+        )
     if min(img.width, img.height) <= d_max:
         raise DomainError(
             f"image {img.width}x{img.height} admits no pairs at distance {d_max} "

@@ -171,12 +171,14 @@ RENYI = "renyi"
 TSALLIS = "tsallis"
 PAL_PAL = "palpal"
 
-MEASURE_KINDS = (PROPOSED, PROPOSED_NORMALIZED, SHANNON, RENYI, TSALLIS, PAL_PAL)
+
+#: The measure kind that takes each order parameter.
+_ORDER_KIND = {"alpha": RENYI, "q": TSALLIS}
 
 
 def _check_order(value: float, name: str) -> None:
-    if not value > 0.0 or value == 1.0:
-        raise DomainError(f"{name} must be > 0 and != 1, got {value!r}")
+    if not 0.0 < value < math.inf or value == 1.0:
+        raise DomainError(f"{name} must be finite, > 0 and != 1, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -196,18 +198,20 @@ class EntropyMeasure:
             raise DomainError(
                 f"unknown measure {self.kind!r}; expected one of {MEASURE_KINDS}"
             )
-        if self.kind == RENYI:
-            if self.alpha is None:
-                raise DomainError("renyi requires alpha")
-            _check_order(self.alpha, "alpha")
-        elif self.alpha is not None:
-            raise DomainError(f"alpha is only valid for renyi, not {self.kind}")
-        if self.kind == TSALLIS:
-            if self.q is None:
-                raise DomainError("tsallis requires q")
-            _check_order(self.q, "q")
-        elif self.q is not None:
-            raise DomainError(f"q is only valid for tsallis, not {self.kind}")
+        for name, owner in _ORDER_KIND.items():
+            value = getattr(self, name)
+            if self.kind == owner:
+                if value is None:
+                    raise DomainError(f"{owner} requires {name}")
+                _check_order(value, name)
+            elif value is not None:
+                raise DomainError(f"{name} is only valid for {owner}, not {self.kind}")
+
+    @classmethod
+    def select(cls, kind: str, alpha: float, q: float) -> "EntropyMeasure":
+        """The measure ``kind``, given whichever of ``alpha`` and ``q`` it takes."""
+        given = {"alpha": alpha, "q": q}
+        return cls(kind, **{n: given[n] for n, owner in _ORDER_KIND.items() if owner == kind})
 
 
 def info_gain(p: float) -> float:
@@ -221,14 +225,17 @@ def info_gain(p: float) -> float:
     return math.exp(-(p * p))
 
 
+def _gauss_sum(p: np.ndarray) -> float:
+    return float(np.sum(p * np.exp(-(p * p))))
+
+
 def entropy(dist: ProbDist) -> float:
     """Gaussian-gain entropy sum(p_i * exp(-p_i**2)).
 
     Zero-probability outcomes contribute exactly 0.  The value lies in
     [exp(-1), exp(-1/n**2)].
     """
-    p = dist.probs
-    return float(np.sum(p * np.exp(-(p * p))))
+    return _gauss_sum(dist.probs)
 
 
 def entropy_bounds(n: int) -> tuple[float, float]:
@@ -315,8 +322,7 @@ def conditional_entropy_y_given_x(joint: JointDist) -> float:
 
 def joint_entropy(joint: JointDist) -> float:
     """Gaussian-gain entropy of the joint: sum(p(x, y) * exp(-p(x, y)**2))."""
-    c = joint.cells
-    return float(np.sum(c * np.exp(-(c * c))))
+    return _gauss_sum(joint.cells)
 
 
 def relative_entropy(p_dist: ProbDist, q_dist: ProbDist) -> float:
@@ -339,18 +345,19 @@ def relative_entropy(p_dist: ProbDist, q_dist: ProbDist) -> float:
     return H_MIN - _gain_sum(p_dist.probs, q_dist.probs)
 
 
+_EVALUATORS = {
+    PROPOSED: entropy,
+    PROPOSED_NORMALIZED: normalized_entropy,
+    SHANNON: shannon,
+    RENYI: renyi,
+    TSALLIS: tsallis,
+    PAL_PAL: pal_pal,
+}
+MEASURE_KINDS = tuple(_EVALUATORS)
+
+
 def apply_measure(measure: EntropyMeasure, dist: ProbDist) -> float:
-    """Evaluate the selected measure on a distribution."""
-    if measure.kind == PROPOSED:
-        return entropy(dist)
-    if measure.kind == PROPOSED_NORMALIZED:
-        return normalized_entropy(dist)
-    if measure.kind == SHANNON:
-        return shannon(dist)
-    if measure.kind == RENYI:
-        return renyi(dist, measure.alpha)
-    if measure.kind == TSALLIS:
-        return tsallis(dist, measure.q)
-    if measure.kind == PAL_PAL:
-        return pal_pal(dist)
-    raise DomainError(f"unknown measure {measure.kind!r}")
+    """Evaluate the selected measure on a distribution, passing its order if any."""
+    order = measure.alpha if measure.alpha is not None else measure.q
+    evaluate = _EVALUATORS[measure.kind]
+    return evaluate(dist) if order is None else evaluate(dist, order)

@@ -111,6 +111,14 @@ class TestEntropyCommand:
         assert a3 != capsys.readouterr().out
 
 
+    def test_non_finite_order_rejected(self, const_image, capsys):
+        assert run(["entropy", str(const_image), "--measure", "renyi", "--alpha", "inf",
+                    "--dist", "1"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: alpha must be finite, > 0 and != 1, got inf\n"
+
+
 class TestTileCommand:
     def test_splits_512_into_16_named_tiles(self, tmp_path, capsys):
         src = tmp_path / "big.pgm"
@@ -194,6 +202,19 @@ class TestClassifyCommand:
             "noise", "stripes", "average"]
         assert lines[-1] == "average,1,1"
         assert "average_v=1" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("alpha, message", [
+        ("inf", "error: alpha must be finite, > 0 and != 1, got inf"),
+        # Finite, but every Renyi sum underflows and the feature is infinite.
+        ("1e308", "error: tile noise/t0 has a non-finite feature value"),
+    ])
+    def test_non_finite_renyi_is_one_line_error(self, alpha, message, corpus, tmp_path,
+                                                capsys):
+        rc = run(["classify", "--train", str(corpus), "--measure", "renyi",
+                  "--alpha", alpha, "--dist", "1", "--threads", "2",
+                  "--report", str(tmp_path / "r.csv")])
+        assert rc == 1
+        assert capsys.readouterr().err == message + "\n"
 
     def test_explicit_test_dir_mode(self, corpus, tmp_path):
         report = tmp_path / "report.csv"

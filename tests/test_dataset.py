@@ -98,6 +98,12 @@ class TestPgmLoad:
         (b"P2 2 1 3\n0 x1\n", ("malformed pixel value b'x1'", 11)),
         # In P5 a glued comment leaves no whitespace before the payload.
         (b"P5 1 1 255#c\n\x00", ("missing whitespace before pixel data", 10)),
+        # Numbers are plain decimal digits: no sign and no '_' separator.
+        (b"P2 1 1 1_0 +3", ("malformed maxval b'1_0'", 7)),
+        (b"P5 1 1 2_5\n\x03", ("malformed maxval b'2_5'", 7)),
+        (b"P2 1 1 9 +3", ("malformed pixel value b'+3'", 9)),
+        # An out-of-range raster value is reported where it starts.
+        (b"P2 3 1 9 1 12 3", ("pixel value 12 exceeds maxval 9", 11)),
     ])
     def test_token_edge_cases(self, data, expected):
         first, second = expected
@@ -211,6 +217,11 @@ class TestLabeledFeatureSet:
         fs = LabeledFeatureSet([("b", "t", [0.0]), ("a", "t", [0.0])])
         assert fs.class_labels() == ("a", "b")
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_features_rejected(self, bad):
+        with pytest.raises(DomainError, match="^tile b/t1 has a non-finite feature value$"):
+            LabeledFeatureSet([("a", "t0", [1.0, 2.0]), ("b", "t1", [1.0, bad])])
+
 
 class TestSplitMix64:
     def test_reference_stream(self):
@@ -283,6 +294,12 @@ class TestFeatureCsv:
         assert header == "label,tile,f1,f2"
         back = read_feature_csv(path)
         assert back.records == fs.records
+
+    def test_rejects_non_finite_value(self, tmp_path):
+        path = tmp_path / "features.csv"
+        path.write_text("label,tile,f1\na,t0,0.5\na,t1,nan\n")
+        with pytest.raises(DomainError, match="a/t1"):
+            read_feature_csv(path)
 
     def test_rejects_foreign_csv(self, tmp_path):
         path = tmp_path / "other.csv"

@@ -68,8 +68,9 @@ class TestComputeFbim:
 
     def test_rejects_unknown_feature(self):
         img = noise_image(10, 10, seed=5)
-        with pytest.raises(DomainError):
-            compute_fbim(img, "contrast", d_max=2)
+        for feature in ("contrast", None, "proposed"):
+            with pytest.raises(DomainError, match="feature must be an EntropyMeasure"):
+                compute_fbim(img, feature, d_max=2)
 
 
 class TestFbimToImage:

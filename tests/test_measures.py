@@ -15,6 +15,7 @@ from texent import (
     DomainError,
     EntropyMeasure,
     H_MIN,
+    MEASURE_KINDS,
     JointDist,
     ProbDist,
     apply_measure,
@@ -367,3 +368,37 @@ class TestEntropyMeasure:
             EntropyMeasure("proposed", q=2.0)
         with pytest.raises(DomainError):
             EntropyMeasure("nonsense")
+        with pytest.raises(DomainError, match="alpha must be finite"):
+            EntropyMeasure("renyi", alpha=math.inf)
+        with pytest.raises(DomainError, match="q must be finite"):
+            EntropyMeasure("tsallis", q=math.nan)
+
+    @pytest.mark.parametrize("kind", MEASURE_KINDS)
+    def test_dispatch_equals_public_function_exactly(self, kind):
+        direct = {
+            "proposed": entropy,
+            "proposed-normalized": normalized_entropy,
+            "shannon": shannon,
+            "renyi": lambda p: renyi(p, 1.7),
+            "tsallis": lambda p: tsallis(p, 0.6),
+            "palpal": pal_pal,
+        }[kind]
+        measure = EntropyMeasure.select(kind, 1.7, 0.6)
+        rng = np.random.default_rng(2016)
+        for n in (2, 3, 17, 256):
+            weights = rng.random(n) * (rng.random(n) < 0.7)
+            weights[0] += 0.5
+            p = ProbDist.normalize(weights)
+            assert apply_measure(measure, p) == direct(p)
+
+    def test_select_passes_only_the_order_its_kind_takes(self):
+        assert EntropyMeasure.select("renyi", 3.0, 0.5) == EntropyMeasure("renyi", alpha=3.0)
+        assert EntropyMeasure.select("tsallis", 3.0, 0.5) == EntropyMeasure("tsallis", q=0.5)
+        for kind in ("proposed", "proposed-normalized", "shannon", "palpal"):
+            assert EntropyMeasure.select(kind, 3.0, 0.5) == EntropyMeasure(kind)
+        # An order the kind does not take is dropped unchecked.
+        assert EntropyMeasure.select("shannon", math.inf, 1.0) == EntropyMeasure("shannon")
+        with pytest.raises(DomainError, match="alpha"):
+            EntropyMeasure.select("renyi", 1.0, 0.5)
+        with pytest.raises(DomainError, match="unknown measure"):
+            EntropyMeasure.select("nonsense", 3.0, 0.5)
