@@ -132,8 +132,7 @@ def _add_classify_args(p):
     _add_common(p, threads=True)
 
 
-def _load_image(path: str, levels: int) -> glcm.GrayImage:
-    img = dataset.read_pgm(path)
+def _quantized(img: glcm.GrayImage, levels: int) -> glcm.GrayImage:
     return img.quantize(min(levels, img.levels))
 
 
@@ -153,7 +152,7 @@ def _distances_from(args) -> "int | list[int]":
 
 
 def _cmd_tile(args) -> int:
-    img = _load_image(args.image, 256)
+    img = dataset.read_pgm(args.image)
     tiles = dataset.tile(img, args.size)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -165,7 +164,7 @@ def _cmd_tile(args) -> int:
 
 
 def _cmd_glcm(args) -> int:
-    img = _load_image(args.image, args.levels)
+    img = _quantized(dataset.read_pgm(args.image), args.levels)
     g = glcm.compute_glcm(
         img, glcm.SpacingVector(d=args.dist, theta=args.angle), args.symmetric
     )
@@ -178,7 +177,7 @@ def _cmd_glcm(args) -> int:
 
 
 def _cmd_entropy(args) -> int:
-    img = _load_image(args.image, args.levels)
+    img = _quantized(dataset.read_pgm(args.image), args.levels)
     measure = measures.EntropyMeasure.select(args.measure, args.alpha, args.q)
     values = dataset.extract_feature(img, measure, _distances_from(args), args.symmetric)
     for v in values:
@@ -187,7 +186,7 @@ def _cmd_entropy(args) -> int:
 
 
 def _cmd_fbim(args) -> int:
-    img = _load_image(args.image, args.levels)
+    img = _quantized(dataset.read_pgm(args.image), args.levels)
     feature = (args.feature if args.feature == fbim.CORRELATION
                else measures.EntropyMeasure.select(args.feature, args.alpha, args.q))
     f = fbim.compute_fbim(img, feature, d_max=args.dmax,
@@ -201,7 +200,7 @@ def _cmd_fbim(args) -> int:
 def _corpus_features(args, measure_by_column, roots):
     """Feature sets per measure for each corpus root, from tiles of one level count."""
     distances = _distances_from(args)
-    corpora = [[(label, tile, img.quantize(min(args.levels, img.levels)))
+    corpora = [[(label, tile, _quantized(img, args.levels))
                 for label, tile, img in dataset.load_labeled_images(root)]
                for root in roots]
     # Features of tiles with different level counts lie on different scales.

@@ -132,10 +132,7 @@ def load_pgm(data: bytes) -> GrayImage:
 
 def save_pgm(img: GrayImage) -> bytes:
     """Serialize an image as binary P5 with maxval = levels - 1 (<= 255)."""
-    maxval = img.levels - 1
-    if maxval > 255:
-        raise DomainError(f"cannot write {img.levels} levels as 8-bit PGM")
-    header = f"P5\n{img.width} {img.height}\n{maxval}\n".encode("ascii")
+    header = f"P5\n{img.width} {img.height}\n{img.levels - 1}\n".encode("ascii")
     return header + img.pixels.astype(np.uint8).tobytes()
 
 
@@ -188,16 +185,14 @@ def _extract_multi(
 ) -> dict[str, list[float]]:
     # One GLCP per (distance, angle), shared across every measure.
     out: dict[str, list[float]] = {key: [] for key in measures}
-    # Extreme orders overflow quietly; LabeledFeatureSet names the tile.
-    with np.errstate(all="ignore"):
-        for d in distances:
-            dists = [
-                glcp(compute_glcm(img, SpacingVector(d=d, theta=theta), symmetric))
-                for theta in FEATURE_ANGLES
-            ]
-            for key, measure in measures.items():
-                vals = [apply_measure(measure, p) for p in dists]
-                out[key].append(sum(vals) / len(vals))
+    for d in distances:
+        dists = [
+            glcp(compute_glcm(img, SpacingVector(d=d, theta=theta), symmetric))
+            for theta in FEATURE_ANGLES
+        ]
+        for key, measure in measures.items():
+            vals = [apply_measure(measure, p) for p in dists]
+            out[key].append(sum(vals) / len(vals))
     return out
 
 
@@ -318,9 +313,10 @@ def split(
 ) -> tuple[LabeledFeatureSet, LabeledFeatureSet]:
     """Stratified split into (train, test); the same seed yields the same split.
 
-    Per class, round(fraction * size) records go to train, clamped so both
-    folds keep at least one record; every class therefore needs two or more
-    records.  Record order within each fold follows the input order.
+    Per class, round(fraction * size) records go to train, halves rounding
+    to even (5 records at 0.5 put 2 in train), clamped so both folds keep
+    one or more; every class therefore needs two or more records.  Record
+    order within each fold follows the input order.
     """
     rng = SplitMix64(spec.seed)
     train: list[Record] = []

@@ -51,7 +51,7 @@ class GrayImage:
     """A 2-D gray image with an explicit number of quantization levels.
 
     Pixels are held as a read-only integer array of shape (height, width);
-    every value must lie in [0, levels - 1].
+    every value must lie in [0, levels - 1], and levels in [2, 256] (8 bits).
     """
 
     __slots__ = ("_pixels", "_levels")
@@ -62,8 +62,8 @@ class GrayImage:
             raise DomainError("pixels must form a non-empty 2-D array")
         if not np.issubdtype(arr.dtype, np.integer):
             raise DomainError(f"pixels must be integers, got dtype {arr.dtype}")
-        if not isinstance(levels, int) or levels < 2:
-            raise DomainError(f"levels must be an integer >= 2, got {levels!r}")
+        if not isinstance(levels, int) or not 2 <= levels <= 256:
+            raise DomainError(f"levels must be an integer in [2, 256], got {levels!r}")
         arr = arr.astype(np.int64)
         lo, hi = int(arr.min()), int(arr.max())
         if lo < 0 or hi >= levels:

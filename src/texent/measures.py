@@ -271,13 +271,17 @@ def shannon(dist: ProbDist) -> float:
 
 
 def renyi(dist: ProbDist, alpha: float) -> float:
-    """Renyi entropy ln(sum(p_i**alpha)) / (1 - alpha) in nats.
+    """Renyi entropy ln(sum(p_i**alpha)) / (1 - alpha) in nats; alpha > 0, != 1.
 
-    Requires alpha > 0, alpha != 1.
+    Evaluated as ln(p_max * sum((p_i/p_max)**alpha)) / (1 - alpha) - ln p_max:
+    the log's argument lies in [p_max, n * p_max], so the value is finite for
+    every accepted order and tends to the min-entropy -ln p_max as alpha grows.
     """
     _check_order(alpha, "alpha")
-    p = dist.probs
-    return float(np.log(np.sum(p**alpha)) / (1.0 - alpha))
+    p_max = dist.probs.max()
+    ratio = dist.probs / p_max
+    ratio **= alpha  # in place: at alpha = 2 a second temporary costs more than the power
+    return float(np.log(p_max * np.sum(ratio)) / (1.0 - alpha) - np.log(p_max))
 
 
 def tsallis(dist: ProbDist, q: float) -> float:

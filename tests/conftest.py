@@ -6,8 +6,12 @@ implementation it checks.
 """
 
 import numpy as np
+from hypothesis import strategies as st
 
 from texent import GrayImage
+
+#: Every order the Renyi and Tsallis measures accept: finite, > 0 and != 1.
+ORDERS = st.floats(5e-324, 1.7e308).filter(lambda x: x != 1.0)
 
 # Independent angle table for the oracle: (dx, dy) unit steps, dy downward.
 ORACLE_STEPS = {

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from conftest import noise_image, stripe_image
-from texent import GrayImage, SpacingVector, compute_glcm, read_pgm, write_pgm
+from texent import (GrayImage, SpacingVector, compute_glcm, glcp, read_feature_csv, read_pgm,
+                    write_pgm)
 from texent.cli import build_parser, run
 
 
@@ -110,6 +111,18 @@ class TestEntropyCommand:
                     "--dist", "1"]) == 0
         assert a3 != capsys.readouterr().out
 
+    def test_huge_renyi_order_gives_min_entropy(self, tmp_path, capsys):
+        path = tmp_path / "img.pgm"
+        img = noise_image(16, 16, seed=0, levels=8)
+        write_pgm(path, img)
+        assert run(["entropy", str(path), "--measure", "renyi", "--alpha", "1e308",
+                    "--dist", "1"]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        # Renyi tends to -ln max p as alpha grows; the feature averages 4 angles.
+        want = np.mean([-np.log(glcp(compute_glcm(img, SpacingVector(1, theta))).probs.max())
+                        for theta in (0, 45, 90, 135)])
+        assert float(out) == pytest.approx(want, rel=1e-14)
 
     def test_non_finite_order_rejected(self, const_image, capsys):
         assert run(["entropy", str(const_image), "--measure", "renyi", "--alpha", "inf",
@@ -183,6 +196,18 @@ class TestFbimCommand:
             outs.append((out_map.read_bytes(), out_csv.read_bytes()))
         assert outs[0] == outs[1]
 
+    def test_huge_renyi_order_maps_every_cell(self, tmp_path, capsys):
+        src = tmp_path / "img.pgm"
+        write_pgm(src, noise_image(16, 16, seed=5))
+        out_csv = tmp_path / "map.csv"
+        assert run(["fbim", str(src), "--feature", "renyi", "--alpha", "1e308",
+                    "--dmax", "3", "--out", str(tmp_path / "map.pgm"),
+                    "--csv", str(out_csv)]) == 0
+        assert capsys.readouterr().err == ""
+        rows = out_csv.read_text().strip().split("\n")[1:]
+        cells = [float(v) for row in rows for v in row.split(",")]
+        assert len(cells) == 24 and np.isfinite(cells).all()
+
     def test_dmax_too_large(self, tmp_path, capsys):
         src = tmp_path / "img.pgm"
         write_pgm(src, noise_image(16, 16, seed=5))
@@ -205,8 +230,6 @@ class TestClassifyCommand:
 
     @pytest.mark.parametrize("alpha, message", [
         ("inf", "error: alpha must be finite, > 0 and != 1, got inf"),
-        # Finite, but every Renyi sum underflows and the feature is infinite.
-        ("1e308", "error: tile noise/t0 has a non-finite feature value"),
     ])
     def test_non_finite_renyi_is_one_line_error(self, alpha, message, corpus, tmp_path,
                                                 capsys):
@@ -215,6 +238,16 @@ class TestClassifyCommand:
                   "--report", str(tmp_path / "r.csv")])
         assert rc == 1
         assert capsys.readouterr().err == message + "\n"
+
+    def test_huge_renyi_order_gives_finite_features(self, corpus, tmp_path, capsys):
+        features = tmp_path / "features.csv"
+        rc = run(["classify", "--train", str(corpus), "--measure", "renyi",
+                  "--alpha", "1e308", "--dist", "1", "--threads", "2",
+                  "--report", str(tmp_path / "r.csv"), "--features-out", str(features)])
+        assert rc == 0
+        assert capsys.readouterr().err == ""
+        # read_feature_csv rejects a table holding a non-finite value.
+        assert len(read_feature_csv(features)) == 8
 
     def test_explicit_test_dir_mode(self, corpus, tmp_path):
         report = tmp_path / "report.csv"

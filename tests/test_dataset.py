@@ -4,10 +4,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from conftest import noise_image, stripe_image
+from conftest import ORDERS, noise_image, stripe_image
 from texent import (
+    MEASURE_KINDS,
     DomainError,
     EntropyMeasure,
     GrayImage,
@@ -278,6 +279,14 @@ class TestSplit:
         with pytest.raises(DomainError):
             split(fs, SplitSpec(seed=5))
 
+    def test_half_rounds_to_even(self):
+        rows = [("five", f"t{i}", [0.0]) for i in range(5)]
+        rows += [("seven", f"t{i}", [1.0]) for i in range(7)]
+        train, _ = split(LabeledFeatureSet(rows), SplitSpec(seed=9))
+        # round(2.5) == 2 and round(3.5) == 4, where rounding half up gives 3 and 4.
+        assert {label: len(g) for label, g in train.by_class().items()} == {
+            "five": 2, "seven": 4}
+
     def test_bad_fraction(self):
         with pytest.raises(DomainError):
             SplitSpec(seed=1, fraction=1.0)
@@ -323,15 +332,21 @@ class TestLabeledCorpus:
         with pytest.raises(DomainError):
             load_labeled_images(tmp_path)
 
-    def test_build_feature_sets_thread_invariant(self, tmp_path):
-        items = [
-            ("a", f"t{i}", noise_image(12, 12, seed=i, levels=16)) for i in range(6)
-        ]
-        measures = {
-            "p": EntropyMeasure("proposed"),
-            "s": EntropyMeasure("shannon"),
-        }
-        seq = build_feature_sets(items, measures, distances=[1, 2], threads=1)
-        par = build_feature_sets(items, measures, distances=[1, 2], threads=4)
-        assert seq["p"].records == par["p"].records
-        assert seq["s"].records == par["s"].records
+    @settings(max_examples=8, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), side=st.integers(2, 16),
+           levels=st.integers(2, 16),
+           distances=st.lists(st.integers(1, 15), min_size=1, max_size=3, unique=True),
+           alpha=ORDERS, q=ORDERS)
+    @example(seed=0, side=12, levels=16, distances=[1, 2], alpha=1e308, q=1e308)
+    def test_build_feature_sets_thread_invariant(self, seed, side, levels, distances,
+                                                 alpha, q):
+        rng = np.random.default_rng(seed)
+        items = [(f"c{i % 2}", f"t{i}",
+                  GrayImage(rng.integers(0, levels, (side, side)), levels))
+                 for i in range(4)]
+        distances = [min(d, side - 1) for d in distances]
+        measures = {kind: EntropyMeasure.select(kind, alpha, q) for kind in MEASURE_KINDS}
+        seq = build_feature_sets(items, measures, distances, threads=1)
+        par = build_feature_sets(items, measures, distances, threads=2)
+        for kind in measures:
+            assert seq[kind].records == par[kind].records

@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from conftest import noise_image, stripe_image
+from conftest import ORDERS, noise_image, stripe_image
 from texent import (
     CORRELATION,
+    MEASURE_KINDS,
     DomainError,
     EntropyMeasure,
     Fbim,
@@ -43,13 +45,24 @@ class TestComputeFbim:
         with pytest.raises(DomainError):
             fbim_to_image(f)
 
-    def test_deterministic_and_thread_invariant(self):
-        img = noise_image(24, 24, seed=3)
-        a = compute_fbim(img, HN, d_max=6)
-        b = compute_fbim(img, HN, d_max=6)
-        c = compute_fbim(img, HN, d_max=6, threads=4)
-        assert np.array_equal(a.values, b.values)
-        assert np.array_equal(a.values, c.values)
+    @settings(max_examples=8, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), h=st.integers(2, 16), w=st.integers(2, 16),
+           levels=st.integers(2, 16), spread=st.integers(1, 16), d_max=st.integers(1, 15),
+           alpha=ORDERS, q=ORDERS)
+    # A constant image leaves every correlation cell NaN.
+    @example(seed=0, h=6, w=5, levels=4, spread=1, d_max=4, alpha=1e308, q=1e308)
+    @example(seed=3, h=16, w=16, levels=16, spread=3, d_max=15, alpha=1e308, q=1e-300)
+    def test_deterministic_and_thread_invariant(self, seed, h, w, levels, spread, d_max,
+                                                alpha, q):
+        rng = np.random.default_rng(seed)
+        img = GrayImage(rng.integers(0, min(spread, levels), size=(h, w)), levels)
+        d_max = min(d_max, h - 1, w - 1)
+        measures = [EntropyMeasure.select(kind, alpha, q) for kind in MEASURE_KINDS]
+        for feature in (CORRELATION, *measures):
+            seq = compute_fbim(img, feature, d_max=d_max, threads=1)
+            par = compute_fbim(img, feature, d_max=d_max, threads=2)
+            assert seq.values.tobytes() == par.values.tobytes()
+            assert feature == CORRELATION or np.isfinite(seq.values).all()
 
     def test_symmetric_duplicates_opposite_rows(self):
         img = noise_image(20, 20, seed=4, levels=16)

@@ -40,6 +40,11 @@ class TestGrayImage:
         with pytest.raises(DomainError):
             GrayImage([[0.5, 0.5]], levels=4)
 
+    @pytest.mark.parametrize("levels", [1, 257, 1 << 20, 2.0])
+    def test_levels_must_fit_8_bits(self, levels):
+        with pytest.raises(DomainError, match=r"levels must be an integer in \[2, 256\]"):
+            GrayImage([[0, 1]], levels=levels)
+
     def test_rejects_empty_or_1d(self):
         with pytest.raises(DomainError):
             GrayImage([1, 2, 3], levels=4)

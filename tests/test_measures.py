@@ -9,20 +9,26 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from conftest import ORDERS
 from texent import (
     DegenerateNormalizationError,
     DomainError,
     EntropyMeasure,
+    GrayImage,
     H_MIN,
     MEASURE_KINDS,
     JointDist,
     ProbDist,
+    SpacingVector,
     apply_measure,
+    compute_glcm,
     conditional_entropy_x_given_y,
     conditional_entropy_y_given_x,
     entropy,
     entropy_bounds,
+    glcp,
     info_gain,
     joint_entropy,
     normalized_entropy,
@@ -34,6 +40,13 @@ from texent import (
 )
 
 E1 = math.exp(-1)
+
+
+def _renyi_direct(dist, alpha):
+    # ln(sum(p**alpha)) / (1 - alpha) as written, which underflows to inf for
+    # large alpha; kept as the reference renyi must stay within rounding of.
+    p = dist.probs
+    return float(np.log(np.sum(p**alpha)) / (1.0 - alpha))
 
 
 class TestProbDist:
@@ -195,6 +208,25 @@ class TestComparisonEntropies:
         assert renyi(ProbDist([0.25, 0.75]), 2.0) == pytest.approx(
             0.47000362924573555, abs=1e-12
         )
+
+    def test_renyi_large_orders_tend_to_min_entropy(self):
+        uniform = ProbDist.normalize(np.ones(16))
+        assert renyi(uniform, 1000.0) == pytest.approx(math.log(16), abs=1e-12)
+        for probs in ([0.25, 0.75], [0.5, 0.5, 0.0], [1.0, 0.0], [0.1, 0.2, 0.3, 0.4]):
+            assert renyi(ProbDist(probs), 1e308) == -math.log(max(probs))
+
+    def test_renyi_matches_direct_form_on_glcps(self):
+        rng = np.random.default_rng(64)
+        for levels in (4, 16, 64, 256):
+            # Cubing uniform noise skews the gray levels toward 0.
+            pixels = (rng.random((64, 64)) ** 3 * levels).astype(np.int64)
+            img = GrayImage(pixels, levels)
+            for d in (1, 7):
+                for theta in (0, 45, 90, 135):
+                    p = glcp(compute_glcm(img, SpacingVector(d, theta)))
+                    for alpha in (0.3, 0.7, 1.5, 2.0, 3.0, 8.0):
+                        want = _renyi_direct(p, alpha)
+                        assert abs(renyi(p, alpha) - want) <= 2e-15 * abs(want)
 
     @pytest.mark.parametrize("alpha", [0.0, -1.0, 1.0])
     def test_renyi_rejects_bad_alpha(self, alpha):
@@ -390,6 +422,14 @@ class TestEntropyMeasure:
             weights[0] += 0.5
             p = ProbDist.normalize(weights)
             assert apply_measure(measure, p) == direct(p)
+
+    @settings(max_examples=100)
+    @given(st.lists(st.one_of(st.sampled_from([0.0, 5e-324, 1e-310]), st.floats(0.0, 1.0)),
+                    min_size=2, max_size=40).filter(any), ORDERS, ORDERS)
+    def test_every_measure_is_finite_at_every_accepted_order(self, weights, alpha, q):
+        p = ProbDist.normalize(weights)
+        for kind in MEASURE_KINDS:
+            assert math.isfinite(apply_measure(EntropyMeasure.select(kind, alpha, q), p))
 
     def test_select_passes_only_the_order_its_kind_takes(self):
         assert EntropyMeasure.select("renyi", 3.0, 0.5) == EntropyMeasure("renyi", alpha=3.0)
