@@ -15,6 +15,7 @@ from .classifier import (
     classify,
     cross_validate,
     evaluate,
+    repeated_cross_validate,
     report_csv,
     train,
 )

@@ -223,9 +223,9 @@ def _evaluate_pair(args, full_set, test_set=None):
         return classifier.two_way(full_set, test_set, args.classifier)
     if args.trials < 1:
         raise DomainError(f"--trials must be >= 1, got {args.trials}")
-    specs = (dataset.SplitSpec(seed=args.seed + trial, fraction=args.fraction)
-             for trial in range(args.trials))
-    folds = [classifier.cross_validate(full_set, spec, args.classifier) for spec in specs]
+    specs = [dataset.SplitSpec(seed=args.seed + trial, fraction=args.fraction)
+             for trial in range(args.trials)]
+    folds = classifier.repeated_cross_validate(full_set, specs, args.classifier)
     return tuple(classifier.mean_report(reports) for reports in zip(*folds))
 
 

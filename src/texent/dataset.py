@@ -74,6 +74,34 @@ def _int_token(data: bytes, pos: int, what: str) -> tuple[int, int]:
     raise PgmError(f"malformed {what} {token!r}", offset=m.start(1))
 
 
+def _p2_split(raster: bytes, count: int, maxval: int) -> "np.ndarray | None":
+    # The common raster in one split: exactly ``count`` words, all digits (so
+    # no comment), none above maxval.  None sends every other raster to
+    # _p2_tokens, which reads comments and trailing bytes and reports faults.
+    words = raster.split()
+    if len(words) != count or not b"".join(words).isdigit():
+        return None
+    try:
+        values = list(map(int, words))
+    except ValueError:  # more digits than int() converts
+        return None
+    if max(values) > maxval:
+        return None
+    return np.array(values, dtype=np.uint8)
+
+
+def _p2_tokens(data: bytes, pos: int, count: int, maxval: int) -> np.ndarray:
+    values = []
+    for _ in range(count):
+        value, end = _int_token(data, pos, "pixel value")
+        if value > maxval:
+            raise PgmError(f"pixel value {value} exceeds maxval {maxval}",
+                           offset=_token(data, pos).start(1))
+        values.append(value)
+        pos = end
+    return np.array(values, dtype=np.uint8)
+
+
 def load_pgm(data: bytes) -> GrayImage:
     """Parse PGM bytes (binary P5 or ASCII P2, maxval <= 255) into an image.
 
@@ -110,7 +138,7 @@ def load_pgm(data: bytes) -> GrayImage:
                 f"truncated pixel data: expected {count} bytes, found {len(payload)}",
                 offset=len(data),
             )
-        arr = np.frombuffer(payload, dtype=np.uint8).astype(np.int64)
+        arr = np.frombuffer(payload, dtype=np.uint8)
         if arr.max() > maxval:
             bad = int(np.argmax(arr > maxval))
             raise PgmError(
@@ -118,22 +146,16 @@ def load_pgm(data: bytes) -> GrayImage:
                 offset=pos + 1 + bad,
             )
     else:
-        values = []
-        for _ in range(count):
-            value, end = _int_token(data, pos, "pixel value")
-            if value > maxval:
-                raise PgmError(f"pixel value {value} exceeds maxval {maxval}",
-                               offset=_token(data, pos).start(1))
-            values.append(value)
-            pos = end
-        arr = np.array(values, dtype=np.int64)
+        arr = _p2_split(data[pos:], count, maxval)
+        if arr is None:
+            arr = _p2_tokens(data, pos, count, maxval)
     return GrayImage(arr.reshape(height, width), levels=maxval + 1)
 
 
 def save_pgm(img: GrayImage) -> bytes:
     """Serialize an image as binary P5 with maxval = levels - 1 (<= 255)."""
     header = f"P5\n{img.width} {img.height}\n{img.levels - 1}\n".encode("ascii")
-    return header + img.pixels.astype(np.uint8).tobytes()
+    return header + img.pixels.tobytes()
 
 
 def read_pgm(path) -> GrayImage:
@@ -308,20 +330,18 @@ class SplitMix64:
             items[i], items[j] = items[j], items[i]
 
 
-def split(
+def _split_indices(
     feature_set: LabeledFeatureSet, spec: SplitSpec
-) -> tuple[LabeledFeatureSet, LabeledFeatureSet]:
-    """Stratified split into (train, test); the same seed yields the same split.
-
-    Per class, round(fraction * size) records go to train, halves rounding
-    to even (5 records at 0.5 put 2 in train), clamped so both folds keep
-    one or more; every class therefore needs two or more records.  Record
-    order within each fold follows the input order.
-    """
+) -> tuple[list[int], list[int]]:
+    # Record indices of the (train, test) folds of :func:`split`, in its order.
     rng = SplitMix64(spec.seed)
-    train: list[Record] = []
-    test: list[Record] = []
-    for label, recs in feature_set.by_class().items():
+    members: dict[str, list[int]] = {}
+    for i, r in enumerate(feature_set.records):
+        members.setdefault(r.label, []).append(i)
+    train: list[int] = []
+    test: list[int] = []
+    for label in sorted(members):
+        recs = members[label]
         if len(recs) < 2:
             raise DomainError(f"class {label!r} needs at least 2 records to split")
         idx = list(range(len(recs)))
@@ -331,7 +351,23 @@ def split(
         chosen = frozenset(idx[:k])
         train.extend(recs[i] for i in range(len(recs)) if i in chosen)
         test.extend(recs[i] for i in range(len(recs)) if i not in chosen)
-    return LabeledFeatureSet(train), LabeledFeatureSet(test)
+    return train, test
+
+
+def split(
+    feature_set: LabeledFeatureSet, spec: SplitSpec
+) -> tuple[LabeledFeatureSet, LabeledFeatureSet]:
+    """Stratified split into (train, test); the same seed yields the same split.
+
+    Per class, round(fraction * size) records go to train, halves rounding
+    to even (5 records at 0.5 put 2 in train), clamped so both folds keep
+    one or more; every class therefore needs two or more records.  Each
+    fold lists its classes in ascending label order, and each class's
+    records in input order.
+    """
+    records = feature_set.records
+    return tuple(LabeledFeatureSet(records[i] for i in fold)
+                 for fold in _split_indices(feature_set, spec))
 
 
 def write_feature_csv(path, feature_set: LabeledFeatureSet) -> None:

@@ -104,12 +104,12 @@ def fbim_to_image(f: Fbim) -> GrayImage:
         raise DomainError("every cell of the map is missing")
     lo = float(vals[defined].min())
     hi = float(vals[defined].max())
-    pixels = np.zeros(vals.shape, dtype=np.int64)
+    pixels = np.zeros(vals.shape, dtype=np.uint8)
     if hi == lo:
         pixels[defined] = 128
     else:
         scaled = np.rint((vals[defined] - lo) / (hi - lo) * 255.0)
-        pixels[defined] = scaled.astype(np.int64)
+        pixels[defined] = scaled
     return GrayImage(pixels, levels=256)
 
 

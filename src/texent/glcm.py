@@ -50,7 +50,7 @@ _UNIT_STEP = {
 class GrayImage:
     """A 2-D gray image with an explicit number of quantization levels.
 
-    Pixels are held as a read-only integer array of shape (height, width);
+    Pixels are held as a read-only ``uint8`` array of shape (height, width);
     every value must lie in [0, levels - 1], and levels in [2, 256] (8 bits).
     """
 
@@ -64,12 +64,12 @@ class GrayImage:
             raise DomainError(f"pixels must be integers, got dtype {arr.dtype}")
         if not isinstance(levels, int) or not 2 <= levels <= 256:
             raise DomainError(f"levels must be an integer in [2, 256], got {levels!r}")
-        arr = arr.astype(np.int64)
         lo, hi = int(arr.min()), int(arr.max())
         if lo < 0 or hi >= levels:
             raise DomainError(
                 f"pixel values span [{lo}, {hi}], outside [0, {levels - 1}]"
             )
+        arr = arr.astype(np.uint8)
         arr.setflags(write=False)
         self._pixels = arr
         self._levels = levels
@@ -98,7 +98,7 @@ class GrayImage:
             raise DomainError(
                 f"cannot requantize {self._levels} levels up to {levels}"
             )
-        return GrayImage((self._pixels * levels) // self._levels, levels)
+        return GrayImage((self._pixels.astype(np.intp) * levels) // self._levels, levels)
 
     def __repr__(self) -> str:
         return f"GrayImage({self.width}x{self.height}, levels={self._levels})"
@@ -167,7 +167,9 @@ def compute_glcm(
     a = px[r0:r1, c0:c1]
     b = px[r0 + dy : r1 + dy, c0 + dx : c1 + dx]
     levels = img.levels
-    idx = a * levels + b
+    idx = a.astype(np.uint16)  # widened first: a pair index reaches 65 535
+    idx *= levels
+    idx += b
     counts = np.bincount(idx.ravel(), minlength=levels * levels)
     counts = counts.reshape(levels, levels)
     if symmetric:
@@ -184,7 +186,10 @@ def glcp(g: Glcm) -> ProbDist:
     total = g.total
     if total == 0:
         raise EmptyGlcmError("co-occurrence matrix holds no pairs")
-    return ProbDist(g.counts.reshape(-1).astype(np.float64) / total)
+    if g.counts.min() < 0:  # a hand-built Glcm may hold any integers
+        raise DomainError("co-occurrence counts must be non-negative")
+    # Non-negative counts over a positive total always form a distribution.
+    return ProbDist._trusted(g.counts.reshape(-1) / total)
 
 
 def correlation(g: Glcm) -> float:

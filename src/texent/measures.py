@@ -102,6 +102,14 @@ class ProbDist:
         self._probs = _checked(probs, 1, "probability vector")
 
     @classmethod
+    def _trusted(cls, probs: np.ndarray) -> "ProbDist":
+        # For probabilities valid by construction: skips every check.
+        dist = cls.__new__(cls)
+        probs.setflags(write=False)
+        dist._probs = probs
+        return dist
+
+    @classmethod
     def normalize(cls, weights: Iterable[float]) -> "ProbDist":
         """Explicitly rescale non-negative weights to a unit-sum distribution."""
         return cls(_rescaled(weights, 1))

@@ -7,10 +7,13 @@ from texent import (
     DomainError,
     LabeledFeatureSet,
     SplitSpec,
+    classifier,
     classify,
     cross_validate,
     evaluate,
+    repeated_cross_validate,
     report_csv,
+    split,
     train,
 )
 from texent.classifier import mean_report, report_table, two_way
@@ -64,6 +67,17 @@ class TestClassify:
         model = train(_set([("a", "t0", [0.1, 0.2])]), "1nn")
         with pytest.raises(DomainError):
             classify(model, [0.1])
+
+    def test_nan_query_rejected(self):
+        model = train(_set([("a", "t0", [0.0]), ("b", "t1", [1.0])]), "1nn")
+        with pytest.raises(DomainError, match="NaN"):
+            classify(model, [float("nan")])
+
+    @pytest.mark.parametrize("bad", [float("inf"), -float("inf")])
+    def test_infinite_query_ties_to_smallest_label(self, bad):
+        # Every squared distance is inf, so every point ties.
+        model = train(_set([("b", "t0", [0.0]), ("a", "t1", [1.0])]), "1nn")
+        assert classify(model, [bad]) == "a"
 
     def test_invariant_under_positive_affine_rescale(self):
         rng = np.random.default_rng(17)
@@ -175,3 +189,96 @@ class TestMeanReport:
         assert mean.per_class_accuracy == {"a": 1.0, "b": 0.75}
         assert mean.average_accuracy == (perfect.average_accuracy + half.average_accuracy) / 2
         assert mean.confusion.sum() == 6
+
+
+def _planted(seed, classes=5, per_class=14, dim=3):
+    """Features on a coarse grid, so distances tie exactly, plus one record
+    per class that duplicates a record of the next class."""
+    rng = np.random.default_rng(seed)
+    labels = [f"c{k}" for k in rng.permutation(classes) for _ in range(per_class)]
+    feats = rng.integers(0, 3, size=(len(labels), dim)) * 0.25 + rng.integers(0, 2, size=(1, dim))
+    rows = [(label, f"t{i}", f) for i, (label, f) in enumerate(zip(labels, feats))]
+    for k in range(classes):
+        source = rows[((k + 1) % classes) * per_class]
+        rows.append((f"c{k}", f"dup{k}", source[2]))
+    return _set(rows)
+
+
+def _old_confusion(train_set, test_set, kind):
+    """Confusion of the per-record loop: nearest points, smallest label on ties."""
+    model = train(train_set, kind)
+    labels = sorted(set(model.labels) | {r.label for r in test_set})
+    confusion = np.zeros((len(labels), len(labels)), dtype=np.int64)
+    for r in test_set:
+        d2 = np.sum((model.points - np.array(r.features)) ** 2, axis=1)
+        predicted = min(model.labels[i] for i in np.flatnonzero(d2 == d2.min()))
+        confusion[labels.index(r.label), labels.index(predicted)] += 1
+    return confusion
+
+
+class TestRepeatedCrossValidate:
+    @pytest.mark.parametrize("bound", ["default", 0])
+    @pytest.mark.parametrize("n_specs", [1, 5])
+    @pytest.mark.parametrize("kind", ["1nn", "centroid"])
+    def test_equals_two_way_on_each_split(self, kind, n_specs, bound, monkeypatch):
+        if bound == 0:
+            monkeypatch.setattr(classifier, "_MATRIX_BYTES", 0)  # one row per chunk
+        for seed in range(3):
+            fs = _planted(seed)
+            specs = [SplitSpec(seed=100 * seed + i, fraction=0.3 + 0.1 * i)
+                     for i in range(n_specs)]
+            got = repeated_cross_validate(fs, specs, kind)
+            assert len(got) == n_specs
+            for spec, pair in zip(specs, got):
+                folds = split(fs, spec)
+                for report, want, (train_set, test_set) in zip(
+                        pair, two_way(*folds, kind), (folds, folds[::-1])):
+                    assert report.labels == want.labels
+                    assert report.confusion.dtype == want.confusion.dtype == np.int64
+                    assert np.array_equal(report.confusion, want.confusion)
+                    assert np.array_equal(report.confusion,
+                                          _old_confusion(train_set, test_set, kind))
+                    assert report.per_class_accuracy == want.per_class_accuracy
+                    assert report.average_accuracy == want.average_accuracy
+
+    def test_planted_ties_are_exercised(self):
+        fs = _planted(0)
+        train_set, test_set = split(fs, SplitSpec(seed=0))
+        points = np.array([r.features for r in train_set])
+        tied = 0
+        for r in test_set:
+            d2 = np.sum((points - np.array(r.features)) ** 2, axis=1)
+            tied += len({train_set.records[i].label for i in np.flatnonzero(d2 == d2.min())}) > 1
+        assert tied >= 5
+
+    def test_cross_validate_is_the_one_spec_case(self):
+        fs = _planted(4)
+        single = cross_validate(fs, SplitSpec(seed=7), "1nn")
+        (pair,) = repeated_cross_validate(fs, [SplitSpec(seed=7)], "1nn")
+        for a, b in zip(single, pair):
+            assert np.array_equal(a.confusion, b.confusion)
+            assert a.per_class_accuracy == b.per_class_accuracy
+
+    @pytest.mark.parametrize("bound, n, chunks", [
+        (64 << 20, 2896, 1), (64 << 20, 2897, 2), (8 * 400, 40, 4)])
+    def test_distances_held_at_once_are_bounded(self, bound, n, chunks, monkeypatch):
+        sizes = []
+        original = classifier._sq_distances
+
+        def spy(points, queries):
+            sizes.append(len(points) * len(queries))
+            return original(points, queries)
+
+        monkeypatch.setattr(classifier, "_sq_distances", spy)
+        monkeypatch.setattr(classifier, "_MATRIX_BYTES", bound)
+        fs = _set((f"c{i % 2}", f"t{i}", [float(i % 7)]) for i in range(n))
+        repeated_cross_validate(fs, [SplitSpec(seed=1), SplitSpec(seed=2)], "1nn")
+        assert max(sizes) * 8 <= bound
+        assert len(sizes) == chunks
+        assert sum(sizes) == n * n  # every distance once, whatever the bound
+
+    def test_rejects_unknown_kind_and_empty_set(self):
+        with pytest.raises(DomainError, match="classifier kind"):
+            repeated_cross_validate(_planted(0), [SplitSpec(seed=1)], "svm")
+        with pytest.raises(DomainError, match="training set is empty"):
+            repeated_cross_validate(_set([]), [SplitSpec(seed=1)], "1nn")

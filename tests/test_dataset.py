@@ -1,6 +1,7 @@
 """Unit tests for PGM I/O, tiling, feature extraction and seeded splits."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -32,6 +33,92 @@ from texent import (
 )
 
 E1 = math.exp(-1)
+
+# A copy of the P2 reader that reads every value as one regex token, kept
+# here as the reference for load_pgm's one-split raster path.
+_REF_TOKEN = re.compile(rb"(?:\s|#[^\n\r]*(?=[\n\r]|\Z))*([^\s#]+)")
+
+
+def _token_loop_p2(data: bytes):
+    """(pixel rows, levels) of P2 bytes, or the PgmError the token loop raises."""
+    pos = 0
+
+    def token():
+        m = _REF_TOKEN.match(data, pos)
+        if m is None:
+            raise PgmError("unexpected end of data in header", offset=len(data))
+        return m
+
+    def int_token(what):
+        nonlocal pos
+        m = token()
+        try:
+            if m[1].isdigit():
+                pos = m.end()
+                return int(m[1])
+        except ValueError:
+            pass
+        raise PgmError(f"malformed {what} {m[1]!r}", offset=m.start(1))
+
+    m = token()
+    assert m[1] == b"P2"
+    start, pos = m.start(1), m.end()
+    width, height = int_token("width"), int_token("height")
+    if width < 1 or height < 1:
+        raise PgmError(f"invalid dimensions {width}x{height}", offset=start)
+    maxval = int_token("maxval")
+    if maxval > 255:
+        raise PgmError(f"maxval {maxval} exceeds 255", offset=pos)
+    if maxval < 1:
+        raise PgmError(f"invalid maxval {maxval}", offset=pos)
+    values = []
+    for _ in range(width * height):
+        at = token().start(1)
+        value = int_token("pixel value")
+        if value > maxval:
+            raise PgmError(f"pixel value {value} exceeds maxval {maxval}", offset=at)
+        values.append(value)
+    return [values[r * width : (r + 1) * width] for r in range(height)], maxval + 1
+
+
+_SPACE = [b" ", b"\n", b"\r\n", b"\t", b"\x0b", b"\x0c", b" \n "]
+_COMMENT = [b" #c\n", b"#\r", b"\n# 12 x\n", b"#glued"]
+
+
+@st.composite
+def _p2_bytes(draw):
+    """P2 bytes near the common case.  A quarter of the examples each put
+    comments in the header, put comments in the raster, have one odd token,
+    glue two tokens, let values exceed maxval, have too few or too many
+    values, or end in other trailing bytes than a newline."""
+    def rarely():
+        return draw(st.integers(0, 3)) == 0
+
+    head = st.sampled_from(_SPACE + (_COMMENT if rarely() else []))
+    body = st.sampled_from(_SPACE + (_COMMENT if rarely() else []))
+    width, height = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    maxval = draw(st.sampled_from([1, 3, 255]) | st.integers(1, 255))
+    value = st.builds(lambda zeros, v: b"0" * zeros + str(v).encode(), st.integers(0, 2),
+                      st.integers(0, maxval + 2 if rarely() else maxval))
+    count = width * height + (draw(st.sampled_from([-2, -1, 1, 2])) if rarely() else 0)
+    tokens = draw(st.lists(value, min_size=max(1, count), max_size=max(1, count)))
+    seps = [draw(head)] + [draw(body) for _ in tokens[1:]]
+    if rarely():
+        tokens[draw(st.integers(0, len(tokens) - 1))] = draw(st.sampled_from(
+            [b"0" * 4301, b"0" * 4300 + b"1", b"x", b"+1", b"1_0", b"\xff", b"\xa0"]))
+    if rarely() and len(seps) > 1:
+        seps[draw(st.integers(1, len(seps) - 1))] = draw(st.sampled_from([b"", b"\x1c"]))
+    out = b"P2" + b"".join(draw(head) + str(n).encode() for n in (width, height, maxval))
+    out += b"".join(s + t for s, t in zip(seps, tokens))
+    return out + (draw(st.sampled_from([b"", b" ", b"#end", b"# c\n", b" 7", b" x"]))
+                  if rarely() else b"\n")
+
+
+def _outcome(read, data):
+    try:
+        return read(data)
+    except Exception as e:
+        return type(e), str(e), getattr(e, "offset", None)
 
 
 class TestPgmLoad:
@@ -127,6 +214,17 @@ class TestPgmLoad:
         except PgmError:
             return
         assert isinstance(img, GrayImage)
+
+    @settings(max_examples=300)
+    @given(_p2_bytes())
+    @example(b"P2\n# synthetic texture\n2 2\n255\n0 1\n254 255\n")
+    @example(b"P2 2 1 9 1 " + b"0" * 4301)
+    def test_p2_matches_token_loop(self, data):
+        def load(data):
+            img = load_pgm(data)
+            return img.pixels.tolist(), img.levels
+
+        assert _outcome(load, data) == _outcome(_token_loop_p2, data)
 
     @given(st.data())
     def test_p5_round_trip_any_shape_and_levels(self, data):

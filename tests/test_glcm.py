@@ -14,6 +14,7 @@ from texent import (
     EntropyMeasure,
     Glcm,
     GrayImage,
+    ProbDist,
     SpacingVector,
     compute_glcm,
     correlation,
@@ -61,6 +62,25 @@ class TestGrayImage:
         img = GrayImage([[0, 1]], levels=2)
         with pytest.raises(ValueError):
             img.pixels[0, 0] = 1
+
+
+class TestEightBitPixels:
+    """Pixels are stored as uint8; arithmetic on them must widen first."""
+
+    def test_pixels_are_uint8(self):
+        assert GrayImage(np.array([[0, 255]], dtype=np.int64)).pixels.dtype == np.uint8
+        assert noise_image(5, 4, seed=3, levels=7).pixels.dtype == np.uint8
+
+    @pytest.mark.parametrize("levels", [200, 256])
+    def test_top_pair_index(self, levels):
+        # (L-1)*L + (L-1) exceeds 255 for every L above 16.
+        img = GrayImage(np.full((6, 5), levels - 1), levels=levels)
+        g = compute_glcm(img, SpacingVector(1, 0))
+        assert g.counts[levels - 1, levels - 1] == 6 * 4 == g.total
+
+    def test_quantize_top_level(self):
+        img = GrayImage(np.full((2, 3), 255), levels=256)
+        assert img.quantize(16).pixels.tolist() == [[15, 15, 15], [15, 15, 15]]
 
 
 class TestOffsets:
@@ -140,6 +160,21 @@ class TestGlcp:
             p = glcp(compute_glcm(img, SpacingVector(1, 45)))
             assert p.n == 16 * 16
             assert abs(float(p.probs.sum()) - 1.0) <= 1e-9
+
+    @pytest.mark.parametrize("levels", [16, 256])
+    def test_equals_checked_distribution(self, levels):
+        for seed in range(4):
+            g = compute_glcm(noise_image(24, 24, seed=seed, levels=levels),
+                             SpacingVector(1 + seed, ANGLES[seed]))
+            p = glcp(g)
+            checked = ProbDist(g.counts.reshape(-1) / g.total)
+            assert p.probs.tobytes() == checked.probs.tobytes()
+            assert not p.probs.flags.writeable
+
+    def test_negative_count_rejected(self):
+        g = Glcm(counts=np.array([[3, -1], [0, 0]]), spacing=SpacingVector(1, 0))
+        with pytest.raises(DomainError, match="non-negative"):
+            glcp(g)
 
     def test_empty_matrix_rejected(self):
         empty = Glcm(counts=np.zeros((2, 2), dtype=np.int64), spacing=SpacingVector(1, 0))
