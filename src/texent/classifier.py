@@ -8,7 +8,7 @@ from typing import Sequence
 import numpy as np
 
 from ._text import sig15
-from .dataset import LabeledFeatureSet, SplitSpec, _split_indices, split
+from .dataset import LabeledFeatureSet, SplitSpec, _split_indices
 from .errors import DomainError
 
 __all__ = [
@@ -51,25 +51,21 @@ class TrainedModel:
         return self.points.shape[1]
 
 
-def train(train_set: LabeledFeatureSet, kind: str = ONE_NN) -> TrainedModel:
-    """Build a model from a labeled training set."""
+def _check_training(kind: str, records) -> None:
     if kind not in (ONE_NN, NEAREST_CENTROID):
         raise DomainError(f"classifier kind must be {ONE_NN!r} or {NEAREST_CENTROID!r}")
-    records = train_set.records
     if not records:
         raise DomainError("training set is empty")
-    if kind == ONE_NN:
-        labels = tuple(r.label for r in records)
-        points = _points(records)
-    else:
-        labels = train_set.class_labels()
-        points = np.array(
-            [
-                np.mean([r.features for r in group], axis=0)
-                for group in train_set.by_class().values()
-            ],
-            dtype=np.float64,
-        )
+
+
+def train(train_set: LabeledFeatureSet, kind: str = ONE_NN) -> TrainedModel:
+    """Build a model from a labeled training set."""
+    records = train_set.records
+    _check_training(kind, records)
+    labels, points = tuple(r.label for r in records), _points(records)
+    if kind == NEAREST_CENTROID:
+        names = train_set.class_labels()
+        labels, points = names, _class_means(points, _codes(labels, names), len(names))
     points.setflags(write=False)
     return TrainedModel(kind=kind, labels=labels, points=points)
 
@@ -82,6 +78,11 @@ def _codes(labels: Sequence[str], names: tuple[str, ...]) -> np.ndarray:
     # Index of each label in the ascending ``names``, so codes order as labels do.
     index = {name: i for i, name in enumerate(names)}
     return np.array([index[label] for label in labels], dtype=np.intp)
+
+
+def _class_means(points: np.ndarray, codes: np.ndarray, n: int) -> np.ndarray:
+    # Mean point of each code 0..n-1, over its rows in input order.
+    return np.array([points[codes == c].mean(axis=0) for c in range(n)])
 
 
 def _sq_distances(points: np.ndarray, queries: np.ndarray) -> np.ndarray:
@@ -99,11 +100,16 @@ def _nearest(d2: np.ndarray, codes: np.ndarray) -> np.ndarray:
     return np.where(ties, codes, np.iinfo(np.intp).max).min(axis=1)
 
 
-def _predict(points: np.ndarray, codes: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    # _nearest over chunks of query rows, each at most _MATRIX_BYTES.
+def _distance_chunks(points: np.ndarray, queries: np.ndarray):
+    # (first row, squared distances) per chunk of query rows, each at most _MATRIX_BYTES.
     rows = max(1, _MATRIX_BYTES // (8 * len(points)))
-    return np.concatenate([_nearest(_sq_distances(points, queries[i : i + rows]), codes)
-                           for i in range(0, len(queries), rows)])
+    for start in range(0, len(queries), rows):
+        yield start, _sq_distances(points, queries[start : start + rows])
+
+
+def _predict(points: np.ndarray, codes: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    chunks = _distance_chunks(points, queries)
+    return np.concatenate([_nearest(d2, codes) for _, d2 in chunks])
 
 
 def classify(model: TrainedModel, features) -> str:
@@ -191,18 +197,15 @@ def repeated_cross_validate(
 ) -> list[tuple[EvalReport, EvalReport]]:
     """:func:`cross_validate` for each split spec, in order.
 
-    1-NN computes the squared distance between every two records once, in
-    chunks of query rows of at most 64 MiB, and resolves every split's test
-    records in each chunk.  The distances have the bits :func:`classify`
-    gives them, so the reports equal those of :func:`two_way` on
-    :func:`split`'s folds.  Nearest-centroid trains a model per split and
-    direction.
+    The folds, points and label codes are built once.  1-NN computes the
+    squared distance between every two records once, in chunks of query rows
+    of at most 64 MiB, and resolves every split's test records in each
+    chunk; nearest-centroid predicts each fold against its train fold's
+    class means.  The distances have the bits :func:`classify` gives them,
+    so the reports equal those of :func:`two_way` on :func:`split`'s folds.
     """
-    if kind != ONE_NN:  # two_way's train rejects an unknown kind
-        return [two_way(*split(full_set, spec), kind) for spec in specs]
     records = full_set.records
-    if not records:
-        raise DomainError("training set is empty")
+    _check_training(kind, records)
     names = full_set.class_labels()
     codes = _codes([r.label for r in records], names)
     points = _points(records)
@@ -210,14 +213,16 @@ def repeated_cross_validate(
     for spec in specs:
         a, b = (np.array(f, dtype=np.intp) for f in _split_indices(full_set, spec))
         folds += [(a, b), (b, a)]
-    predicted = [np.empty(len(test), dtype=np.intp) for _, test in folds]
-    rows = max(1, _MATRIX_BYTES // (8 * len(points)))
-    for start in range(0, len(points), rows):
-        d2 = _sq_distances(points, points[start : start + rows])
-        for (train_idx, test_idx), out in zip(folds, predicted):
-            here = (test_idx >= start) & (test_idx < start + rows)
-            out[here] = _nearest(d2[np.ix_(test_idx[here] - start, train_idx)],
-                                 codes[train_idx])
+    if kind == NEAREST_CENTROID:  # every class is in both folds of a split
+        predicted = [_predict(_class_means(points[a], codes[a], len(names)),
+                              np.arange(len(names)), points[b]) for a, b in folds]
+    else:
+        predicted = [np.empty(len(test), dtype=np.intp) for _, test in folds]
+        for start, d2 in _distance_chunks(points, points):
+            for (train_idx, test_idx), out in zip(folds, predicted):
+                here = (test_idx >= start) & (test_idx < start + len(d2))
+                out[here] = _nearest(d2[np.ix_(test_idx[here] - start, train_idx)],
+                                     codes[train_idx])
     reports = [_report(names, codes[test], p) for (_, test), p in zip(folds, predicted)]
     return list(zip(reports[::2], reports[1::2]))
 

@@ -136,18 +136,25 @@ def _quantized(img: glcm.GrayImage, levels: int) -> glcm.GrayImage:
     return img.quantize(min(levels, img.levels))
 
 
-def _distances_from(args) -> "int | list[int]":
+def _distances_from(args, images) -> "int | list[int]":
+    """The spacing flags' distances, each below the shorter side of every image."""
+    side = min(min(img.width, img.height) for img in images)
     if args.drange is None:
         if args.dist < 1:
             raise DomainError(f"--dist must be >= 1, got {args.dist}")
+        if args.dist >= side:
+            raise DomainError(f"--dist must be below the smallest image side {side}, "
+                              f"got {args.dist}")
         return args.dist
-    parts = args.drange.split(":")
     try:
-        start, end = (int(x) for x in parts)
+        start, end = (int(x) for x in args.drange.split(":"))
     except ValueError:
         raise DomainError(f"--drange must be START:END, got {args.drange!r}") from None
-    if len(parts) != 2 or start < 1 or end < start:
+    if start < 1 or end < start:
         raise DomainError(f"--drange must satisfy 1 <= START <= END, got {args.drange!r}")
+    if end >= side:  # checked before the list of distances is built
+        raise DomainError(f"--drange END must be below the smallest image side {side}, "
+                          f"got {args.drange!r}")
     return list(range(start, end + 1))
 
 
@@ -179,7 +186,8 @@ def _cmd_glcm(args) -> int:
 def _cmd_entropy(args) -> int:
     img = _quantized(dataset.read_pgm(args.image), args.levels)
     measure = measures.EntropyMeasure.select(args.measure, args.alpha, args.q)
-    values = dataset.extract_feature(img, measure, _distances_from(args), args.symmetric)
+    distances = _distances_from(args, [img])
+    values = dataset.extract_feature(img, measure, distances, args.symmetric)
     for v in values:
         print(sig15(v))
     return 0
@@ -199,7 +207,6 @@ def _cmd_fbim(args) -> int:
 
 def _corpus_features(args, measure_by_column, roots):
     """Feature sets per measure for each corpus root, from tiles of one level count."""
-    distances = _distances_from(args)
     corpora = [[(label, tile, _quantized(img, args.levels))
                 for label, tile, img in dataset.load_labeled_images(root)]
                for root in roots]
@@ -210,6 +217,7 @@ def _corpus_features(args, measure_by_column, roots):
             raise DomainError(f"tile {label}/{tile} has {img.levels} gray levels but "
                               f"{first_label}/{first_tile} has {first.levels}; "
                               f"use --levels to quantize every tile alike")
+    distances = _distances_from(args, [img for *_, img in itertools.chain(*corpora)])
     return [dataset.build_feature_sets(items, measure_by_column, distances,
                                        args.symmetric, args.threads)
             for items in corpora]

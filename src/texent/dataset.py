@@ -51,9 +51,11 @@ __all__ = [
 #: Angles averaged over when extracting a per-tile feature.
 FEATURE_ANGLES = (0, 45, 90, 135)
 
-# Whitespace and '#' comments, then one token.  The lookahead keeps a comment
-# from ending early, so the token can never start inside a comment.
-_TOKEN = re.compile(rb"(?:\s|#[^\n\r]*(?=[\n\r]|\Z))*([^\s#]+)")
+# A '#' comment runs to the end of its line; the lookahead keeps it from
+# ending early, so no token starts inside one.  A token follows any number
+# of whitespace bytes and comments.
+_COMMENT = re.compile(rb"#[^\n\r]*(?=[\n\r]|\Z)")
+_TOKEN = re.compile(rb"(?:\s|" + _COMMENT.pattern + rb")*([^\s#]+)")
 
 
 def _token(data: bytes, pos: int) -> re.Match:
@@ -74,32 +76,26 @@ def _int_token(data: bytes, pos: int, what: str) -> tuple[int, int]:
     raise PgmError(f"malformed {what} {token!r}", offset=m.start(1))
 
 
-def _p2_split(raster: bytes, count: int, maxval: int) -> "np.ndarray | None":
-    # The common raster in one split: exactly ``count`` words, all digits (so
-    # no comment), none above maxval.  None sends every other raster to
-    # _p2_tokens, which reads comments and trailing bytes and reports faults.
-    words = raster.split()
-    if len(words) != count or not b"".join(words).isdigit():
-        return None
+def _p2_raster(data: bytes, pos: int, count: int, maxval: int) -> np.ndarray:
+    # The first ``count`` words after ``pos``, comments blanked to spaces so
+    # each word keeps its offset; bytes after them are ignored.
+    raster = _COMMENT.sub(lambda m: b" " * len(m[0]), data[pos:])
+    words = raster.split()[:count]
     try:
-        values = list(map(int, words))
+        if len(words) == count and b"".join(words).isdigit():
+            values = list(map(int, words))
+            if max(values) <= maxval:
+                return np.array(values, dtype=np.uint8)
     except ValueError:  # more digits than int() converts
-        return None
-    if max(values) > maxval:
-        return None
-    return np.array(values, dtype=np.uint8)
-
-
-def _p2_tokens(data: bytes, pos: int, count: int, maxval: int) -> np.ndarray:
-    values = []
-    for _ in range(count):
-        value, end = _int_token(data, pos, "pixel value")
+        pass
+    # Locate the first fault: a word read as a token, as the header's are.
+    for word in words:
+        value, pos = _int_token(data, pos, "pixel value")
         if value > maxval:
             raise PgmError(f"pixel value {value} exceeds maxval {maxval}",
-                           offset=_token(data, pos).start(1))
-        values.append(value)
-        pos = end
-    return np.array(values, dtype=np.uint8)
+                           offset=pos - len(word))
+    raise PgmError(f"truncated pixel data: expected {count} values, found {len(words)}",
+                   offset=len(data))
 
 
 def load_pgm(data: bytes) -> GrayImage:
@@ -146,9 +142,7 @@ def load_pgm(data: bytes) -> GrayImage:
                 offset=pos + 1 + bad,
             )
     else:
-        arr = _p2_split(data[pos:], count, maxval)
-        if arr is None:
-            arr = _p2_tokens(data, pos, count, maxval)
+        arr = _p2_raster(data, pos, count, maxval)
     return GrayImage(arr.reshape(height, width), levels=maxval + 1)
 
 

@@ -133,6 +133,12 @@ class TestEvaluate:
         with pytest.raises(DomainError):
             evaluate(model, _set([]))
 
+    @pytest.mark.parametrize("kind", ["1nn", "centroid"])
+    def test_feature_length_mismatch(self, kind):
+        model = train(_set([("a", "t0", [0.0, 1.0])]), kind)
+        with pytest.raises(DomainError, match=r"shape \(3,\), model expects \(2,\)"):
+            evaluate(model, _set([("a", "t1", [0.0, 1.0, 2.0])]))
+
 
 class TestCrossValidate:
     def test_same_seed_identical_reports(self):

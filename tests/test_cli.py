@@ -89,6 +89,33 @@ class TestExitCodes:
         assert rc == 1
         assert "--drange" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["entropy", "{image}", "--dist", "0"], "--dist must be >= 1, got 0"),
+        (["entropy", "{image}", "--drange", "3"], "--drange must be START:END, got '3'"),
+        (["entropy", "{image}", "--drange", "1:x"], "--drange must be START:END, got '1:x'"),
+        (["entropy", "{image}", "--dist", "64"],
+         "--dist must be below the smallest image side 64, got 64"),
+        # Rejected before a list of a trillion distances is built.
+        (["entropy", "{image}", "--drange", "1:1000000000000"],
+         "--drange END must be below the smallest image side 64, got '1:1000000000000'"),
+        (["classify", "--train", "{corpus}", "--drange", "2:16", "--report", "{tmp}/r.csv"],
+         "--drange END must be below the smallest image side 16, got '2:16'"),
+        (["classify", "--train", "{corpus}", "--dist", "1", "--trials", "0",
+          "--report", "{tmp}/r.csv"], "--trials must be >= 1, got 0"),
+        (["classify", "--train", "{image}", "--dist", "1", "--report", "{tmp}/r.csv"],
+         "{image}: not a directory"),
+        (["tile", "{image}", "--size", "0", "--out", "{tmp}/tiles"],
+         "tile size must be >= 1, got 0"),
+    ])
+    def test_bad_flag_is_one_line_error(self, argv, message, const_image, corpus, tmp_path,
+                                        capsys):
+        def fill(text):
+            return text.format(image=const_image, corpus=corpus, tmp=tmp_path)
+
+        assert run([fill(a) for a in argv]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: {fill(message)}\n"
+
 
 class TestEntropyCommand:
     def test_constant_image_prints_floor(self, const_image, capsys):

@@ -34,8 +34,8 @@ from texent import (
 
 E1 = math.exp(-1)
 
-# A copy of the P2 reader that reads every value as one regex token, kept
-# here as the reference for load_pgm's one-split raster path.
+# A P2 reader that reads every value as one regex token, kept here as the
+# reference for load_pgm's raster reader, which splits the raster at once.
 _REF_TOKEN = re.compile(rb"(?:\s|#[^\n\r]*(?=[\n\r]|\Z))*([^\s#]+)")
 
 
@@ -73,6 +73,9 @@ def _token_loop_p2(data: bytes):
         raise PgmError(f"invalid maxval {maxval}", offset=pos)
     values = []
     for _ in range(width * height):
+        if _REF_TOKEN.match(data, pos) is None:
+            raise PgmError(f"truncated pixel data: expected {width * height} values, "
+                           f"found {len(values)}", offset=len(data))
         at = token().start(1)
         value = int_token("pixel value")
         if value > maxval:
@@ -192,6 +195,14 @@ class TestPgmLoad:
         (b"P2 1 1 9 +3", ("malformed pixel value b'+3'", 9)),
         # An out-of-range raster value is reported where it starts.
         (b"P2 3 1 9 1 12 3", ("pixel value 12 exceeds maxval 9", 11)),
+        # Too few values, as in P5, are reported at the end of the data.
+        (b"P2 2 2 255 1 2 3", ("truncated pixel data: expected 4 values, found 3", 16)),
+        (b"P2 2 1 3 #c\n", ("truncated pixel data: expected 2 values, found 0", 12)),
+        (b"P2 10000000000 10000000000 1 1 0", (
+            "truncated pixel data: expected 100000000000000000000 values, found 2", 32)),
+        # Empty dimensions and a zero maxval are rejected.
+        (b"P2 0 1 255", ("invalid dimensions 0x1", 0)),
+        (b"P5 1 1 0", ("invalid maxval 0", 8)),
     ])
     def test_token_edge_cases(self, data, expected):
         first, second = expected
@@ -219,6 +230,11 @@ class TestPgmLoad:
     @given(_p2_bytes())
     @example(b"P2\n# synthetic texture\n2 2\n255\n0 1\n254 255\n")
     @example(b"P2 2 1 9 1 " + b"0" * 4301)
+    @example(b"P2 3 1 2 0 1#c\n2\n")  # a comment glued to a value
+    @example(b"P2 2 1 2 0 1 # to the end")  # a comment that ends the data
+    @example(b"P2\r2 2\r3\r0 1\r2 3\r")  # CR-only line ends
+    @example(b"P2 2 1 3 0 1 2 x #\n")  # words after the last value
+    @example(b"P2 2 1 9 " + b"0" * 4300 + b"1 2\n")  # a 4301-digit value
     def test_p2_matches_token_loop(self, data):
         def load(data):
             img = load_pgm(data)

@@ -38,6 +38,10 @@ class TestComputeFbim:
             compute_fbim(img, EntropyMeasure("proposed"), d_max=16)
         compute_fbim(img, EntropyMeasure("proposed"), d_max=15)
 
+    def test_dmax_below_one(self):
+        with pytest.raises(DomainError, match="d_max must be >= 1, got 0"):
+            compute_fbim(noise_image(8, 8, seed=2), EntropyMeasure("proposed"), d_max=0)
+
     def test_constant_image_correlation_all_missing(self):
         img = GrayImage(np.full((20, 20), 9, dtype=np.int64), levels=16)
         f = compute_fbim(img, CORRELATION, d_max=4)

@@ -198,6 +198,11 @@ class TestCorrelation:
         with pytest.raises(DegenerateVarianceError):
             correlation(compute_glcm(img, SpacingVector(1, 0)))
 
+    def test_empty_matrix_rejected(self):
+        empty = Glcm(counts=np.zeros((2, 2), dtype=np.int64), spacing=SpacingVector(1, 0))
+        with pytest.raises(EmptyGlcmError, match="holds no pairs"):
+            correlation(empty)
+
     def test_bounded_on_random_images(self):
         for seed in range(10):
             img = noise_image(14, 14, seed=100 + seed, levels=32)

@@ -5,9 +5,9 @@ random number generator and no package code involved, so neither a change to
 numpy's streams nor one to the package's own PGM writer can move them.  Each
 case runs ``texent.cli.run`` and hashes its stdout together with every file
 it writes.  Cases that take ``--threads`` run with 1 and with 2 threads, which
-must give the same bytes.  The 27 calls cover ``entropy``, ``glcm``, ``fbim``
-for three features, and ``classify``/``compare`` in split, ``--trials``,
-``--test`` and centroid modes.
+must give the same bytes.  The 30 calls cover ``entropy`` (also on a
+hand-written ASCII P2 image), ``glcm``, ``fbim`` for three features, and
+``classify``/``compare`` in split, ``--trials``, ``--test`` and centroid modes.
 
 The digests were recorded with Python 3.11 and numpy 2.4.6.  A change that
 moves an output byte on purpose updates the digest here and says why.
@@ -46,14 +46,30 @@ def inputs(tmp_path_factory):
             for t in tiles:
                 _write_p5(root / corpus / f"c{k}" / f"t{t}.pgm", _tile(k, t))
     _write_p5(root / "image.pgm", _tile(1, 2, size=24))
+    (root / "ascii.pgm").write_bytes(ASCII_PGM)
     return root
 
 
-# name -> (argv with {image}/{train}/{test} placeholders, output flags, takes --threads)
+# A hand-written P2 image: comments in the header and among the values, one
+# glued to a value, CR-only line ends, and bytes after the last value.
+ASCII_PGM = (b"P2\n# hand-written 6x6 tile\n6 6 # width height\n15\n"
+             b"0 1 2 3 4 5\n"
+             b"15 14 13#glued\n12 11 10\r"
+             b"# a whole-line comment among the values\n"
+             b"3 3 7 7 3 3\r\n"
+             b"9 0 9 0 9 0 # trailing note\n"
+             b"1 2 4 8 4 2\n"
+             b"5 10 15 10 5 0\n"
+             b"# after the raster\nnot part of the image 99\n")
+
+
+# name -> (argv with {image}/{ascii}/{train}/{test} placeholders, output flags, takes --threads)
 CASES = {
     "entropy-drange": (["entropy", "{image}", "--drange", "1:4"], (), False),
     "entropy-renyi": (["entropy", "{image}", "--measure", "renyi", "--alpha", "3",
                        "--dist", "2"], (), False),
+    "entropy-ascii": (["entropy", "{ascii}", "--drange", "1:3", "--levels", "16"],
+                      (), False),
     "entropy-normalized": (["entropy", "{image}", "--measure", "proposed-normalized",
                             "--levels", "16", "--symmetric", "--dist", "1"], (), False),
     "glcm-stdout": (["glcm", "{image}", "--dist", "2", "--angle", "45",
@@ -70,6 +86,9 @@ CASES = {
     "classify-trials": (["classify", "--train", "{train}", "--drange", "1:3",
                          "--trials", "3", "--measure", "shannon"],
                         ("--report", "--features-out"), True),
+    "classify-centroid-trials": (["classify", "--train", "{train}", "--classifier",
+                                  "centroid", "--drange", "1:3", "--trials", "3"],
+                                 ("--report", "--features-out"), True),
     "classify-test": (["classify", "--train", "{train}", "--test", "{test}",
                        "--dist", "2"], ("--report", "--features-out"), True),
     "classify-centroid": (["classify", "--train", "{train}", "--classifier", "centroid",
@@ -89,6 +108,8 @@ CASES = {
 
 GOLDEN = {
     "classify-centroid": "3d8cfb5abe655dbd74c6dda339b7df405f4fcfbb03af742ecbc376643cb5dc70",
+    "classify-centroid-trials":
+        "c522e1aae1d45912f65be3441fee3e655af9acfaa767d8ee9a3aaf0da68f3f64",
     "classify-split": "7d7976b4aa5e9251de505eae5b2e6cad7ff0725cf7652c25d3e3832b80b6bebe",
     "classify-test": "d2532300927a9af204423f1c4a0013d9c444aff6f12e3960742a3c21f485cfed",
     "classify-trials": "e586f9d1eee481f0d01ae785c633e38fcd3b6c4d7ec23cf32db46c8b5c53e0f9",
@@ -96,6 +117,7 @@ GOLDEN = {
     "compare-split": "0038fd0aabcb7e95f4f59d74ac74e5a61356846905bf5f3ef8de752e22617e35",
     "compare-test": "7ea46c0cd2f77d3a6b770fbe4b74fdd6a84ffbe7fa83e9be8f338b4208022413",
     "compare-trials": "8037d92d9ea4129c60454d243037f0207c56e42d254e739fab537807bbf391b0",
+    "entropy-ascii": "f68c030d90d5a20d893fecf4c05d311109c7c9a7bc90aea3a9fd323841aa1ffa",
     "entropy-drange": "59b2e646d6e64f3be7aa64d4e2dda5fb6c9f64bb447a52a49f4bc670e2efd35e",
     "entropy-normalized": "b9c855fd61e10a7dc3251adf9383406ea1efb32303be9006ebcb650746aa7c29",
     "entropy-renyi": "03129c1ef45402a1864093bf042dcf571874279905677919da9e0837d006b597",
@@ -109,8 +131,8 @@ GOLDEN = {
 
 def _digest(inputs, out_dir, name, threads, capsys):
     argv, outputs, _ = CASES[name]
-    argv = [a.format(image=inputs / "image.pgm", train=inputs / "train",
-                     test=inputs / "test") for a in argv]
+    argv = [a.format(image=inputs / "image.pgm", ascii=inputs / "ascii.pgm",
+                     train=inputs / "train", test=inputs / "test") for a in argv]
     out_dir.mkdir()
     paths = [out_dir / f"out{n}" for n in range(len(outputs))]
     for flag, path in zip(outputs, paths):

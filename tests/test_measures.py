@@ -80,6 +80,14 @@ class TestProbDist:
         with pytest.raises(DomainError):
             ProbDist.normalize([0.0, 0.0])
 
+    @pytest.mark.parametrize("weights, message", [
+        ([], "weights must be a non-empty 1-D array of reals"),
+        ([2.0, -1.0], "weights must be non-negative"),
+    ])
+    def test_normalize_rejects_empty_or_negative_weights(self, weights, message):
+        with pytest.raises(DomainError, match=message):
+            ProbDist.normalize(weights)
+
     def test_probs_read_only(self):
         p = ProbDist([0.5, 0.5])
         with pytest.raises(ValueError):
@@ -100,6 +108,14 @@ class TestJointDist:
     def test_rejects_negative_cell(self):
         with pytest.raises(DomainError):
             JointDist([[1.1, -0.1], [0.0, 0.0]])
+
+    @pytest.mark.parametrize("weights, message", [
+        ([[]], "weights must be a non-empty 2-D array of reals"),
+        ([[1.0, -1.0], [0.0, 2.0]], "weights must be non-negative"),
+    ])
+    def test_normalize_rejects_empty_or_negative_weights(self, weights, message):
+        with pytest.raises(DomainError, match=message):
+            JointDist.normalize(weights)
 
 
 class TestInfoGain:
