@@ -223,14 +223,22 @@ def _corpus_features(args, measure_by_column, roots):
             for items in corpora]
 
 
+def _check_split_flags(args) -> None:
+    """Reject --trials and --fraction values no corpus can satisfy."""
+    if args.test is not None:
+        if args.trials != 1:
+            raise DomainError("--trials applies only when --test is omitted")
+        return
+    if args.trials < 1:
+        raise DomainError(f"--trials must be >= 1, got {args.trials}")
+    if not 0.0 < args.fraction < 1.0:
+        raise DomainError(f"--fraction must lie in (0, 1), got {args.fraction!r}")
+
+
 def _evaluate_pair(args, full_set, test_set=None):
     """(validation, cross-validation) reports for one measure's features."""
     if test_set is not None:
-        if args.trials != 1:
-            raise DomainError("--trials applies only when --test is omitted")
         return classifier.two_way(full_set, test_set, args.classifier)
-    if args.trials < 1:
-        raise DomainError(f"--trials must be >= 1, got {args.trials}")
     specs = [dataset.SplitSpec(seed=args.seed + trial, fraction=args.fraction)
              for trial in range(args.trials)]
     folds = classifier.repeated_cross_validate(full_set, specs, args.classifier)
@@ -239,6 +247,7 @@ def _evaluate_pair(args, full_set, test_set=None):
 
 def _classify_all(args, measure_by_column):
     """Write the report and the first measure's feature table; return the reports."""
+    _check_split_flags(args)  # before any tile is read
     roots = [args.train] if args.test is None else [args.train, args.test]
     per_root = _corpus_features(args, measure_by_column, roots)
     if args.features_out:

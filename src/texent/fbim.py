@@ -61,8 +61,9 @@ def compute_fbim(
 
     ``feature`` is an :class:`EntropyMeasure` or the string ``"correlation"``.
     Cells where the feature is undefined are flagged NaN rather than zeroed.
-    Cells are independent, so they may be evaluated by several threads; the
-    assembled grid is identical to sequential evaluation.
+    The rows of angles 180..315 are copies of those of 0..135, which they
+    equal exactly.  Cells are independent, so they may be evaluated by
+    several threads; the assembled grid is identical to sequential evaluation.
     """
     if d_max < 1:
         raise DomainError(f"d_max must be >= 1, got {d_max}")
@@ -80,14 +81,16 @@ def compute_fbim(
             f"in every direction"
         )
 
-    spacings = [
-        SpacingVector(d=c + 1, theta=ANGLES[r])
-        for r in range(len(ANGLES))
-        for c in range(d_max)
-    ]
+    # The cell at theta + 180 counts every pair of the cell at theta reversed:
+    # transposed counts, so the same count multiset and integer moments, and a
+    # value equal bit for bit.  Only the angles below 180 are evaluated.
+    half = len(ANGLES) // 2
+    spacings = [SpacingVector(d=c + 1, theta=theta) for theta in ANGLES[:half]
+                for c in range(d_max)]
     cells = parallel_map(lambda s: _cell_feature(img, feature, s, symmetric),
                          spacings, threads)
-    values = np.array(cells, dtype=np.float64).reshape(len(ANGLES), d_max)
+    values = np.array(cells, dtype=np.float64).reshape(half, d_max)
+    values = np.concatenate((values, values))
     values.setflags(write=False)
     return Fbim(values=values, feature_name=name)
 

@@ -9,9 +9,8 @@ measures and the correlation feature operate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -124,25 +123,110 @@ def offset_of(spacing: SpacingVector) -> tuple[int, int]:
     return ux * spacing.d, uy * spacing.d
 
 
-@dataclass(frozen=True, eq=False)
 class Glcm:
     """Co-occurrence counts for one spacing vector.
 
     ``counts`` is an L x L integer matrix; ``counts[i, j]`` is the number of
     pixel positions holding gray level i whose offset neighbor holds j.
+    :func:`compute_glcm` keeps only the nonzero cells, :attr:`cells`, and
+    builds ``counts`` (read-only) on first access.  A Glcm constructed from a
+    matrix finds its cells in it, and every feature of one whose counts are
+    not integers, or include a negative one, raises :class:`DomainError`.
     """
 
-    counts: np.ndarray
-    spacing: SpacingVector
+    __slots__ = ("_spacing", "_levels", "_counts", "_cells", "_total")
+
+    def __init__(self, counts, spacing: SpacingVector):
+        self._counts = np.asarray(counts)
+        self._levels = self._counts.shape[0]
+        self._spacing = spacing
+        self._cells = self._total = None
+
+    @classmethod
+    def _of_cells(cls, codes, values, total: int, levels: int,
+                  spacing: SpacingVector) -> "Glcm":
+        g = cls.__new__(cls)
+        g._counts, g._levels, g._spacing = None, levels, spacing
+        g._cells, g._total = (codes, values), total
+        return g
+
+    @property
+    def spacing(self) -> SpacingVector:
+        return self._spacing
 
     @property
     def levels(self) -> int:
-        return self.counts.shape[0]
+        return self._levels
+
+    @property
+    def counts(self) -> np.ndarray:
+        if self._counts is None:
+            codes, values = self._cells
+            counts = np.zeros(self._levels * self._levels, dtype=np.intp)
+            counts[codes] = values
+            counts = counts.reshape(self._levels, self._levels)
+            counts.setflags(write=False)
+            self._counts = counts
+        return self._counts
+
+    @property
+    def cells(self) -> tuple[np.ndarray, np.ndarray]:
+        """(codes, counts) of the nonzero cells, by ascending code i * L + j."""
+        if self._cells is None:
+            flat = self._counts.reshape(-1)
+            if not np.issubdtype(flat.dtype, np.integer):
+                raise DomainError(f"co-occurrence counts must be integers, got {flat.dtype}")
+            codes = flat.nonzero()[0]
+            values = flat[codes]
+            if values.size and values.min() < 0:
+                raise DomainError("co-occurrence counts must be non-negative")
+            self._cells = (codes, values)
+        return self._cells
 
     @property
     def total(self) -> int:
         """Total number of counted pairs."""
-        return int(self.counts.sum())
+        if self._total is None:
+            self._total = int(self.cells[1].sum())
+        return self._total
+
+
+def _pair_codes(a: np.ndarray, b: np.ndarray, levels: int) -> np.ndarray:
+    codes = a.astype(np.uint16)  # widened first: a pair code reaches 65 535
+    codes *= levels
+    codes += b
+    return codes.ravel()
+
+
+def _tally(codes: np.ndarray, cells: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct pair codes, ascending, and how many pairs hold each.
+
+    Counted with ``bincount`` when the ``cells`` bins are no more than the
+    codes, else by sorting the codes and measuring the runs, so no array
+    outgrows the larger of the two.  Both give the same arrays.
+    """
+    if cells > codes.size:
+        return _tally_sorted(codes)
+    return _tally_binned(codes, cells)
+
+
+def _tally_sorted(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    ordered = np.sort(codes)
+    first = np.empty(codes.size, dtype=bool)
+    first[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    starts = first.nonzero()[0]
+    runs = np.empty_like(starts)  # run lengths, without np.diff's appended copy
+    runs[:-1] = starts[1:]
+    runs[-1] = codes.size
+    runs -= starts
+    return ordered[starts], runs
+
+
+def _tally_binned(codes: np.ndarray, cells: int) -> tuple[np.ndarray, np.ndarray]:
+    bins = np.bincount(codes, minlength=cells)
+    present = bins.nonzero()[0]
+    return present.astype(codes.dtype, copy=False), bins[present]
 
 
 def compute_glcm(
@@ -152,7 +236,9 @@ def compute_glcm(
 
     Pairs whose offset neighbor falls outside the image are skipped.  With
     ``symmetric`` every pair is also accumulated reversed, which equals
-    adding the counts of the opposite angle.
+    adding the counts of the opposite angle.  The pair codes i * L + j are
+    sorted when the L * L cells outnumber them and binned otherwise; both
+    give the same nonzero cells.
     """
     dx, dy = offset_of(spacing)
     h, w = img.height, img.width
@@ -167,29 +253,23 @@ def compute_glcm(
     a = px[r0:r1, c0:c1]
     b = px[r0 + dy : r1 + dy, c0 + dx : c1 + dx]
     levels = img.levels
-    idx = a.astype(np.uint16)  # widened first: a pair index reaches 65 535
-    idx *= levels
-    idx += b
-    counts = np.bincount(idx.ravel(), minlength=levels * levels)
-    counts = counts.reshape(levels, levels)
+    codes = _pair_codes(a, b, levels)
     if symmetric:
-        counts = counts + counts.T
-    counts.setflags(write=False)
-    return Glcm(counts=counts, spacing=spacing)
+        codes = np.concatenate((codes, _pair_codes(b, a, levels)))
+    return Glcm._of_cells(*_tally(codes, levels * levels), codes.size, levels, spacing)
 
 
 def glcp(g: Glcm) -> ProbDist:
     """Co-occurrence probabilities: counts/total flattened row-major.
 
     Zero cells are retained, so the distribution always has L*L outcomes.
+    It holds the nonzero cells' counts, and builds ``probs`` only when asked.
     """
+    codes, values = g.cells
     total = g.total
     if total == 0:
         raise EmptyGlcmError("co-occurrence matrix holds no pairs")
-    if g.counts.min() < 0:  # a hand-built Glcm may hold any integers
-        raise DomainError("co-occurrence counts must be non-negative")
-    # Non-negative counts over a positive total always form a distribution.
-    return ProbDist._trusted(g.counts.reshape(-1) / total)
+    return ProbDist._of_counts(codes, values, total, g.levels * g.levels)
 
 
 def correlation(g: Glcm) -> float:
@@ -199,24 +279,32 @@ def correlation(g: Glcm) -> float:
     means and standard deviations are those of the row index (mu_x, sigma_x)
     and column index (mu_y, sigma_y) under f.  Lies in [-1, 1].  Raises when
     either variance is zero, as for a constant image.
+
+    Evaluated from the integer moments of the counts, N, sum(i), sum(j),
+    sum(i**2), sum(j**2) and sum(i*j), as (N sum(i*j) - sum(i) sum(j)) over
+    the square root of the product of N sum(i**2) - sum(i)**2 and its j twin,
+    in exact integers up to that last division and root.
     """
-    total = g.total
-    if total == 0:
+    codes, values = g.cells
+    n = g.total
+    if n == 0:
         raise EmptyGlcmError("co-occurrence matrix holds no pairs")
-    f = g.counts.astype(np.float64) / total
-    idx = np.arange(g.levels, dtype=np.float64)
-    px = f.sum(axis=1)
-    py = f.sum(axis=0)
-    mu_x = float(np.dot(idx, px))
-    mu_y = float(np.dot(idx, py))
-    var_x = float(np.dot((idx - mu_x) ** 2, px))
-    var_y = float(np.dot((idx - mu_y) ** 2, py))
-    if var_x <= 0.0 or var_y <= 0.0:
+    i, j = np.divmod(codes, g.levels)
+    si, sii = _moments(values, i)
+    sj, sjj = _moments(values, j)
+    var_x = n * sii - si * si  # N**2 times the row index's variance
+    var_y = n * sjj - sj * sj
+    if var_x <= 0 or var_y <= 0:
         raise DegenerateVarianceError(
             "gray-level variance is zero along an axis; correlation undefined"
         )
-    cov = float(np.sum((idx[:, np.newaxis] - mu_x) * (idx[np.newaxis, :] - mu_y) * f))
-    return cov / math.sqrt(var_x * var_y)
+    return (n * int((values * i) @ j) - si * sj) / math.sqrt(var_x * var_y)
+
+
+def _moments(values: np.ndarray, k: np.ndarray) -> tuple[int, int]:
+    # sum(values * k) and sum(values * k**2); one weighted array alive at a time.
+    weighted = values * k
+    return int(weighted.sum()), int(weighted @ k)
 
 
 def glcm_entropy(g: Glcm, measure: EntropyMeasure) -> float:

@@ -94,19 +94,29 @@ class ProbDist:
     Construction requires every element in [0, 1] and a total of 1 within
     ``PROB_SUM_TOL``; nothing is rescaled silently.  Use :meth:`normalize`
     to build a distribution from unnormalized non-negative weights.
+
+    A distribution made from integer counts (as :func:`texent.glcp` makes
+    one) holds its nonzero cells and how many cells share each count, and
+    builds :attr:`probs` only when asked for it.
     """
 
-    __slots__ = ("_probs",)
+    __slots__ = ("_probs", "_n", "_cells", "_counts", "_hist")
 
     def __init__(self, probs: Iterable[float]):
         self._probs = _checked(probs, 1, "probability vector")
+        self._n = self._probs.size
+        self._hist = None
 
     @classmethod
-    def _trusted(cls, probs: np.ndarray) -> "ProbDist":
-        # For probabilities valid by construction: skips every check.
+    def _of_counts(cls, cells: np.ndarray, counts: np.ndarray, total: int,
+                   n: int) -> "ProbDist":
+        # counts[k] > 0 is the weight of outcome cells[k] of n; total = sum(counts).
         dist = cls.__new__(cls)
-        probs.setflags(write=False)
-        dist._probs = probs
+        dist._probs = None
+        dist._n, dist._cells, dist._counts = n, cells, counts
+        multiplicity = np.bincount(counts)  # at most total + 1 bins
+        values = multiplicity.nonzero()[0]
+        dist._hist = (values / total, multiplicity[values])
         return dist
 
     @classmethod
@@ -117,18 +127,30 @@ class ProbDist:
     @property
     def probs(self) -> np.ndarray:
         """Read-only float64 view of the probabilities."""
+        if self._probs is None:
+            probs = np.zeros(self._n)
+            probs[self._cells] = self._counts / self._counts.sum()
+            probs.setflags(write=False)
+            self._probs = probs
         return self._probs
+
+    def _outcomes(self) -> tuple[np.ndarray, "np.ndarray | None"]:
+        # The nonzero probabilities, each once with its multiplicity when the
+        # distribution was made from counts, else every one (multiplicity None).
+        if self._hist is not None:
+            return self._hist
+        return self._probs[self._probs > 0.0], None
 
     @property
     def n(self) -> int:
         """Number of outcomes."""
-        return self._probs.size
+        return self._n
 
     def __len__(self) -> int:
-        return self._probs.size
+        return self._n
 
     def __repr__(self) -> str:
-        return f"ProbDist({np.array2string(self._probs, threshold=8)})"
+        return f"ProbDist({np.array2string(self.probs, threshold=8)})"
 
 
 class JointDist:
@@ -233,8 +255,19 @@ def info_gain(p: float) -> float:
     return math.exp(-(p * p))
 
 
-def _gauss_sum(p: np.ndarray) -> float:
-    return float(np.sum(p * np.exp(-(p * p))))
+def _gauss(p: np.ndarray, order=None) -> np.ndarray:
+    return p * np.exp(-(p * p))
+
+
+def _evaluate(kind: str, dist: ProbDist, order: "float | None" = None) -> float:
+    # S = sum(phi(p_i)) over the nonzero p_i, as sum_k h_k * phi(k/N) when the
+    # distribution holds counts: h_k cells hold count k of N.  The measure's
+    # value is then made from S.
+    p, multiplicity = dist._outcomes()
+    phi, value = _PHI[kind]
+    terms = phi(p, order)
+    s = math.fsum((terms if multiplicity is None else multiplicity * terms).tolist())
+    return value(s, order, p, dist.n)
 
 
 def entropy(dist: ProbDist) -> float:
@@ -243,7 +276,7 @@ def entropy(dist: ProbDist) -> float:
     Zero-probability outcomes contribute exactly 0.  The value lies in
     [exp(-1), exp(-1/n**2)].
     """
-    return _gauss_sum(dist.probs)
+    return _evaluate(PROPOSED, dist)
 
 
 def entropy_bounds(n: int) -> tuple[float, float]:
@@ -263,19 +296,21 @@ def normalized_entropy(dist: ProbDist) -> float:
     0 marks a one-hot distribution and 1 the uniform one.  Undefined for a
     single outcome, where the bounds coincide.
     """
-    if dist.n < 2:
+    return _evaluate(PROPOSED_NORMALIZED, dist)
+
+
+def _normalized(s: float, order, p, n: int) -> float:
+    if n < 2:
         raise DegenerateNormalizationError(
             "normalized entropy is undefined for a single outcome"
         )
-    h_min, h_max = entropy_bounds(dist.n)
-    return (entropy(dist) - h_min) / (h_max - h_min)
+    h_min, h_max = entropy_bounds(n)
+    return (s - h_min) / (h_max - h_min)
 
 
 def shannon(dist: ProbDist) -> float:
     """Shannon entropy -sum(p_i * ln p_i) in nats, with 0 ln 0 taken as 0."""
-    p = dist.probs
-    nz = p[p > 0.0]
-    return float(-np.sum(nz * np.log(nz)))
+    return _evaluate(SHANNON, dist)
 
 
 def renyi(dist: ProbDist, alpha: float) -> float:
@@ -286,23 +321,23 @@ def renyi(dist: ProbDist, alpha: float) -> float:
     every accepted order and tends to the min-entropy -ln p_max as alpha grows.
     """
     _check_order(alpha, "alpha")
-    p_max = dist.probs.max()
-    ratio = dist.probs / p_max
-    ratio **= alpha  # in place: at alpha = 2 a second temporary costs more than the power
-    return float(np.log(p_max * np.sum(ratio)) / (1.0 - alpha) - np.log(p_max))
+    return _evaluate(RENYI, dist, alpha)
+
+
+def _renyi(s: float, alpha: float, p: np.ndarray, n) -> float:
+    p_max = p.max()
+    return float(np.log(p_max * s) / (1.0 - alpha) - np.log(p_max))
 
 
 def tsallis(dist: ProbDist, q: float) -> float:
     """Tsallis entropy (1 - sum(p_i**q)) / (q - 1).  Requires q > 0, q != 1."""
     _check_order(q, "q")
-    p = dist.probs
-    return float((1.0 - np.sum(p**q)) / (q - 1.0))
+    return _evaluate(TSALLIS, dist, q)
 
 
 def pal_pal(dist: ProbDist) -> float:
     """Exponential-gain entropy sum(p_i * exp(1 - p_i))."""
-    p = dist.probs
-    return float(np.sum(p * np.exp(1.0 - p)))
+    return _evaluate(PAL_PAL, dist)
 
 
 def _gain_sum(p: np.ndarray, q: np.ndarray) -> float:
@@ -334,7 +369,7 @@ def conditional_entropy_y_given_x(joint: JointDist) -> float:
 
 def joint_entropy(joint: JointDist) -> float:
     """Gaussian-gain entropy of the joint: sum(p(x, y) * exp(-p(x, y)**2))."""
-    return _gauss_sum(joint.cells)
+    return float(np.sum(_gauss(joint.cells)))
 
 
 def relative_entropy(p_dist: ProbDist, q_dist: ProbDist) -> float:
@@ -357,19 +392,24 @@ def relative_entropy(p_dist: ProbDist, q_dist: ProbDist) -> float:
     return H_MIN - _gain_sum(p_dist.probs, q_dist.probs)
 
 
-_EVALUATORS = {
-    PROPOSED: entropy,
-    PROPOSED_NORMALIZED: normalized_entropy,
-    SHANNON: shannon,
-    RENYI: renyi,
-    TSALLIS: tsallis,
-    PAL_PAL: pal_pal,
+def _sum(s: float, order, p, n) -> float:
+    return s
+
+
+#: Each measure kind's phi, applied to the nonzero probabilities with the
+#: measure's order, and its value made from S = sum(phi(p_i)), the order, those
+#: probabilities and the outcome count n.  Every measure is trace-form.
+_PHI = {
+    PROPOSED: (_gauss, _sum),
+    PROPOSED_NORMALIZED: (_gauss, _normalized),
+    SHANNON: (lambda p, _: -p * np.log(p), _sum),
+    RENYI: (lambda p, alpha: (p / p.max()) ** alpha, _renyi),
+    TSALLIS: (lambda p, q: p**q, lambda s, q, p, n: (1.0 - s) / (q - 1.0)),
+    PAL_PAL: (lambda p, _: p * np.exp(1.0 - p), _sum),
 }
-MEASURE_KINDS = tuple(_EVALUATORS)
+MEASURE_KINDS = tuple(_PHI)
 
 
 def apply_measure(measure: EntropyMeasure, dist: ProbDist) -> float:
     """Evaluate the selected measure on a distribution, passing its order if any."""
-    order = measure.alpha if measure.alpha is not None else measure.q
-    evaluate = _EVALUATORS[measure.kind]
-    return evaluate(dist) if order is None else evaluate(dist, order)
+    return _evaluate(measure.kind, dist, measure.alpha if measure.alpha is not None else measure.q)

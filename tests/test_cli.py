@@ -8,6 +8,7 @@ import pytest
 from conftest import noise_image, stripe_image
 from texent import (GrayImage, SpacingVector, compute_glcm, glcp, read_feature_csv, read_pgm,
                     write_pgm)
+from texent import dataset
 from texent.cli import build_parser, run
 
 
@@ -305,6 +306,32 @@ class TestClassifyCommand:
                   "--trials", "2", "--dist", "2",
                   "--report", str(tmp_path / "r.csv")])
         assert rc == 1
+
+
+class TestSplitFlagsCheckedFirst:
+    """Split flags no corpus can satisfy fail before any tile is read."""
+
+    @pytest.mark.parametrize("command", ["classify", "compare"])
+    @pytest.mark.parametrize("flags, message", [
+        (["--trials", "0"], "--trials must be >= 1, got 0"),
+        (["--test", "{corpus}", "--trials", "2"],
+         "--trials applies only when --test is omitted"),
+        (["--fraction", "1.5"], "--fraction must lie in (0, 1), got 1.5"),
+        (["--fraction", "0"], "--fraction must lie in (0, 1), got 0.0"),
+        (["--fraction", "nan"], "--fraction must lie in (0, 1), got nan"),
+    ])
+    def test_rejected_before_loading(self, command, flags, message, corpus, tmp_path,
+                                     capsys, monkeypatch):
+        loaded = []
+        monkeypatch.setattr(dataset, "load_labeled_images",
+                            lambda root: loaded.append(root) or [])
+        argv = [command, "--train", str(corpus), "--dist", "1",
+                *(f.format(corpus=corpus) for f in flags),
+                "--report", str(tmp_path / "r.csv")]
+        assert run(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: {message}\n"
+        assert loaded == []
 
 
 class TestCompareCommand:

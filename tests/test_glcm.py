@@ -181,6 +181,12 @@ class TestGlcp:
         with pytest.raises(EmptyGlcmError):
             glcp(empty)
 
+    def test_non_integer_counts_rejected(self):
+        g = Glcm(counts=np.ones((2, 2)), spacing=SpacingVector(1, 0))
+        for feature in (glcp, correlation):
+            with pytest.raises(DomainError, match="must be integers, got float64"):
+                feature(g)
+
 
 class TestCorrelation:
     def test_alternating_stripes_anticorrelated_at_one(self):
