@@ -128,26 +128,36 @@ class Glcm:
 
     ``counts`` is an L x L integer matrix; ``counts[i, j]`` is the number of
     pixel positions holding gray level i whose offset neighbor holds j.
-    :func:`compute_glcm` keeps only the nonzero cells, :attr:`cells`, and
-    builds ``counts`` (read-only) on first access.  A Glcm constructed from a
-    matrix finds its cells in it, and every feature of one whose counts are
-    not integers, or include a negative one, raises :class:`DomainError`.
+    :func:`compute_glcm` keeps the two pixel blocks whose pairs it counts and
+    tallies their nonzero cells, :attr:`cells`, on first access; ``counts``
+    (read-only) is built from the cells on first access.  A Glcm constructed
+    from a square matrix finds its cells in it, and every feature of one whose
+    counts are not integers, or include a negative one, raises
+    :class:`DomainError`.
     """
 
-    __slots__ = ("_spacing", "_levels", "_counts", "_cells", "_total")
+    __slots__ = ("_spacing", "_levels", "_counts", "_cells", "_total", "_blocks")
 
     def __init__(self, counts, spacing: SpacingVector):
-        self._counts = np.asarray(counts)
-        self._levels = self._counts.shape[0]
+        counts = np.asarray(counts)
+        if counts.ndim != 2 or counts.shape[0] != counts.shape[1]:
+            raise DomainError(
+                f"co-occurrence counts must form a square matrix, got shape {counts.shape}"
+            )
+        self._counts = counts
+        self._levels = counts.shape[0]
         self._spacing = spacing
-        self._cells = self._total = None
+        self._cells = self._total = self._blocks = None
 
     @classmethod
-    def _of_cells(cls, codes, values, total: int, levels: int,
-                  spacing: SpacingVector) -> "Glcm":
+    def _of_blocks(cls, a: np.ndarray, b: np.ndarray, symmetric: bool, levels: int,
+                   spacing: SpacingVector) -> "Glcm":
+        # Pixel a[k] pairs with b[k]; with symmetric, b[k] with a[k] as well.
         g = cls.__new__(cls)
-        g._counts, g._levels, g._spacing = None, levels, spacing
-        g._cells, g._total = (codes, values), total
+        g._counts = g._cells = None
+        g._levels, g._spacing = levels, spacing
+        g._blocks = (a, b, symmetric)
+        g._total = a.size * (2 if symmetric else 1)
         return g
 
     @property
@@ -161,7 +171,7 @@ class Glcm:
     @property
     def counts(self) -> np.ndarray:
         if self._counts is None:
-            codes, values = self._cells
+            codes, values = self.cells
             counts = np.zeros(self._levels * self._levels, dtype=np.intp)
             counts[codes] = values
             counts = counts.reshape(self._levels, self._levels)
@@ -173,14 +183,21 @@ class Glcm:
     def cells(self) -> tuple[np.ndarray, np.ndarray]:
         """(codes, counts) of the nonzero cells, by ascending code i * L + j."""
         if self._cells is None:
-            flat = self._counts.reshape(-1)
-            if not np.issubdtype(flat.dtype, np.integer):
-                raise DomainError(f"co-occurrence counts must be integers, got {flat.dtype}")
-            codes = flat.nonzero()[0]
-            values = flat[codes]
-            if values.size and values.min() < 0:
-                raise DomainError("co-occurrence counts must be non-negative")
-            self._cells = (codes, values)
+            if self._blocks is None:
+                flat = self._counts.reshape(-1)
+                if not np.issubdtype(flat.dtype, np.integer):
+                    raise DomainError(f"co-occurrence counts must be integers, got {flat.dtype}")
+                codes = flat.nonzero()[0]
+                values = flat[codes]
+                if values.size and values.min() < 0:
+                    raise DomainError("co-occurrence counts must be non-negative")
+                self._cells = (codes, values)
+            else:
+                a, b, symmetric = self._blocks
+                codes = _pair_codes(a, b, self._levels)
+                if symmetric:
+                    codes = np.concatenate((codes, _pair_codes(b, a, self._levels)))
+                self._cells = _tally(codes, self._levels * self._levels)
         return self._cells
 
     @property
@@ -236,9 +253,9 @@ def compute_glcm(
 
     Pairs whose offset neighbor falls outside the image are skipped.  With
     ``symmetric`` every pair is also accumulated reversed, which equals
-    adding the counts of the opposite angle.  The pair codes i * L + j are
-    sorted when the L * L cells outnumber them and binned otherwise; both
-    give the same nonzero cells.
+    adding the counts of the opposite angle.  The pairs are counted on first
+    use of the cells: their codes i * L + j are sorted when the L * L cells
+    outnumber them and binned otherwise; both give the same nonzero cells.
     """
     dx, dy = offset_of(spacing)
     h, w = img.height, img.width
@@ -252,11 +269,7 @@ def compute_glcm(
     px = img.pixels
     a = px[r0:r1, c0:c1]
     b = px[r0 + dy : r1 + dy, c0 + dx : c1 + dx]
-    levels = img.levels
-    codes = _pair_codes(a, b, levels)
-    if symmetric:
-        codes = np.concatenate((codes, _pair_codes(b, a, levels)))
-    return Glcm._of_cells(*_tally(codes, levels * levels), codes.size, levels, spacing)
+    return Glcm._of_blocks(a, b, symmetric, img.levels, spacing)
 
 
 def glcp(g: Glcm) -> ProbDist:
@@ -280,31 +293,45 @@ def correlation(g: Glcm) -> float:
     and column index (mu_y, sigma_y) under f.  Lies in [-1, 1].  Raises when
     either variance is zero, as for a constant image.
 
-    Evaluated from the integer moments of the counts, N, sum(i), sum(j),
+    Evaluated from the integer moments of the pairs, N, sum(i), sum(j),
     sum(i**2), sum(j**2) and sum(i*j), as (N sum(i*j) - sum(i) sum(j)) over
     the square root of the product of N sum(i**2) - sum(i)**2 and its j twin,
-    in exact integers up to that last division and root.
+    in exact integers up to that last division and root.  The moments of a
+    GLCM from :func:`compute_glcm` are sums over its two pixel blocks, so
+    its cells are never tallied.
     """
-    codes, values = g.cells
     n = g.total
     if n == 0:
         raise EmptyGlcmError("co-occurrence matrix holds no pairs")
-    i, j = np.divmod(codes, g.levels)
-    si, sii = _moments(values, i)
-    sj, sjj = _moments(values, j)
+    if g._blocks is not None:
+        si, sj, sii, sjj, sij = _block_moments(*g._blocks)
+    else:
+        si, sj, sii, sjj, sij = _cell_moments(*g.cells, g.levels)
     var_x = n * sii - si * si  # N**2 times the row index's variance
     var_y = n * sjj - sj * sj
     if var_x <= 0 or var_y <= 0:
         raise DegenerateVarianceError(
             "gray-level variance is zero along an axis; correlation undefined"
         )
-    return (n * int((values * i) @ j) - si * sj) / math.sqrt(var_x * var_y)
+    return (n * sij - si * sj) / math.sqrt(var_x * var_y)
 
 
-def _moments(values: np.ndarray, k: np.ndarray) -> tuple[int, int]:
-    # sum(values * k) and sum(values * k**2); one weighted array alive at a time.
-    weighted = values * k
-    return int(weighted.sum()), int(weighted @ k)
+def _block_moments(a: np.ndarray, b: np.ndarray, symmetric: bool) -> tuple[int, ...]:
+    # sum(i), sum(j), sum(i**2), sum(j**2), sum(i*j) over the pairs (a[k], b[k]),
+    # and over (b[k], a[k]) too when symmetric.
+    a, b = a.astype(np.uint16), b.astype(np.uint16)  # 255**2 = 65 025 fits
+    sa, sb, saa, sbb, sab = (int(x.sum(dtype=np.int64)) for x in (a, b, a * a, b * b, a * b))
+    if symmetric:
+        return sa + sb, sa + sb, saa + sbb, saa + sbb, 2 * sab
+    return sa, sb, saa, sbb, sab
+
+
+def _cell_moments(codes: np.ndarray, values: np.ndarray, levels: int) -> tuple[int, ...]:
+    # The same five sums over the cells, each pair weighted by its cell's count.
+    i = codes // levels
+    j = codes - i * levels
+    wi, wj = values * i, values * j
+    return int(wi.sum()), int(wj.sum()), int(wi @ i), int(wj @ j), int(wi @ j)
 
 
 def glcm_entropy(g: Glcm, measure: EntropyMeasure) -> float:

@@ -187,6 +187,14 @@ class TestGlcp:
             with pytest.raises(DomainError, match="must be integers, got float64"):
                 feature(g)
 
+    @pytest.mark.parametrize("shape", [(3, 4), (4, 3), (9,), (2, 2, 2)])
+    def test_matrix_must_be_square(self, shape):
+        # A 3x4 matrix used to decode its cells with L = 3: glcp gave n = 9 for
+        # 12 cells, and a 1-D array raised DegenerateVarianceError in correlation.
+        with pytest.raises(DomainError, match=r"must form a square matrix, got shape") as err:
+            Glcm(counts=np.ones(shape, dtype=np.int64), spacing=SpacingVector(1, 0))
+        assert "\n" not in str(err.value)
+
 
 class TestCorrelation:
     def test_alternating_stripes_anticorrelated_at_one(self):

@@ -24,12 +24,14 @@ from texent import (
     CORRELATION,
     MEASURE_KINDS,
     EntropyMeasure,
+    Glcm,
     GrayImage,
     SpacingVector,
     compute_fbim,
     compute_glcm,
     correlation,
     glcm_entropy,
+    glcp,
     offset_of,
 )
 from texent.errors import DegenerateVarianceError
@@ -188,9 +190,46 @@ def test_sort_and_bincount_counting_agree(seed, h, w, levels, spread, d, theta, 
     for branch in BRANCHES.values():
         with mock.patch.object(texent.glcm, "_tally", branch):
             g = compute_glcm(img, spacing, symmetric)
+            g.counts  # the cells are tallied on first access, under the patch
         assert np.array_equal(g.counts, matrix)
         assert g.counts.dtype == matrix.dtype and not g.counts.flags.writeable
         assert g.total == codes.size
+
+
+@settings(max_examples=60, deadline=None)
+@given(**_IMAGES, d=st.integers(1, 13), theta=st.sampled_from(ANGLES),
+       symmetric=st.booleans())
+@example(seed=0, h=6, w=6, levels=256, spread=1, d=2, theta=45, symmetric=True)
+@example(seed=2, h=14, w=14, levels=256, spread=256, d=1, theta=135, symmetric=False)
+def test_pixel_pair_moments_equal_cell_moments(seed, h, w, levels, spread, d, theta,
+                                               symmetric):
+    # compute_glcm's correlation sums over the two pixel blocks; a Glcm built
+    # from the same counts sums over the cells.  Both give the same integers.
+    img = _image(seed, h, w, levels, spread)
+    spacing = SpacingVector(min(d, h - 1, w - 1), theta)
+    g = compute_glcm(img, spacing, symmetric)
+    from_cells = Glcm(counts=g.counts, spacing=spacing)
+    try:
+        direct = correlation(g)
+    except DegenerateVarianceError:
+        with pytest.raises(DegenerateVarianceError):
+            correlation(from_cells)
+        return
+    assert np.float64(direct).tobytes() == np.float64(correlation(from_cells)).tobytes()
+
+
+def test_correlation_never_tallies_cells(monkeypatch):
+    def no_tally(codes, cells):
+        raise AssertionError("the cells were tallied")
+
+    monkeypatch.setattr(texent.glcm, "_tally", no_tally)
+    img = noise_image(24, 24, seed=5, levels=256)
+    for theta in ANGLES:
+        for symmetric in (False, True):
+            correlation(compute_glcm(img, SpacingVector(3, theta), symmetric))
+    compute_fbim(img, CORRELATION, d_max=4, threads=2)
+    with pytest.raises(AssertionError, match="tallied"):
+        glcp(compute_glcm(img, SpacingVector(3, 0)))
 
 
 @settings(max_examples=30, deadline=None)
