@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import itertools
-import os
 import sys
 from pathlib import Path
 
@@ -36,10 +35,7 @@ def _add_common(p, *, threads=False):
     p.add_argument("--symmetric", action="store_true",
                    help="count each pixel pair in both directions")
     if threads:
-        usable = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                  else os.cpu_count() or 1)
-        p.add_argument("--threads", type=int, default=usable,
-                       help="worker threads (default: CPUs this process may use)")
+        p.add_argument("--threads", type=int, default=1, help="worker threads (default 1)")
 
 
 def _add_orders(p):
@@ -223,15 +219,20 @@ def _corpus_features(args, measure_by_column, roots):
             for items in corpora]
 
 
-def _check_split_flags(args) -> None:
-    """Reject --trials and --fraction values no corpus can satisfy."""
-    if args.test is not None:
+#: The least value of each bounded flag, by its argparse destination.
+_FLAG_FLOORS = {"threads": 1, "levels": 2, "dmax": 1, "size": 1, "trials": 1}
+
+
+def _check_flags(args) -> None:
+    """Reject flag values no input can satisfy, before any input is read."""
+    for flag, floor in _FLAG_FLOORS.items():
+        value = getattr(args, flag, floor)
+        if value < floor:
+            raise DomainError(f"--{flag} must be >= {floor}, got {value}")
+    if getattr(args, "test", None) is not None:
         if args.trials != 1:
             raise DomainError("--trials applies only when --test is omitted")
-        return
-    if args.trials < 1:
-        raise DomainError(f"--trials must be >= 1, got {args.trials}")
-    if not 0.0 < args.fraction < 1.0:
+    elif hasattr(args, "fraction") and not 0.0 < args.fraction < 1.0:
         raise DomainError(f"--fraction must lie in (0, 1), got {args.fraction!r}")
 
 
@@ -247,7 +248,6 @@ def _evaluate_pair(args, full_set, test_set=None):
 
 def _classify_all(args, measure_by_column):
     """Write the report and the first measure's feature table; return the reports."""
-    _check_split_flags(args)  # before any tile is read
     roots = [args.train] if args.test is None else [args.train, args.test]
     per_root = _corpus_features(args, measure_by_column, roots)
     if args.features_out:
@@ -286,6 +286,7 @@ def run(argv) -> int:
         if not hasattr(args, "func"):
             parser.print_usage(sys.stderr)
             return 1
+        _check_flags(args)
         return args.func(args)
     except _UsageError as e:
         parser.print_usage(sys.stderr)

@@ -259,12 +259,18 @@ def _gauss(p: np.ndarray, order=None) -> np.ndarray:
     return p * np.exp(-(p * p))
 
 
+def _power_excess(p: np.ndarray, order: float) -> np.ndarray:
+    return p * np.expm1((order - 1.0) * np.log(p))  # p**order - p
+
+
 def _evaluate(kind: str, dist: ProbDist, order: "float | None" = None) -> float:
     # S = sum(phi(p_i)) over the nonzero p_i, as sum_k h_k * phi(k/N) when the
     # distribution holds counts: h_k cells hold count k of N.  The measure's
     # value is then made from S.
     p, multiplicity = dist._outcomes()
     phi, value = _PHI[kind]
+    if order is not None and abs(order - 1.0) <= _NEAR_ONE:
+        phi, value = _power_excess, _VALUE_NEAR_ONE[kind]
     terms = phi(p, order)
     s = math.fsum((terms if multiplicity is None else multiplicity * terms).tolist())
     return value(s, order, p, dist.n)
@@ -319,6 +325,10 @@ def renyi(dist: ProbDist, alpha: float) -> float:
     Evaluated as ln(p_max * sum((p_i/p_max)**alpha)) / (1 - alpha) - ln p_max:
     the log's argument lies in [p_max, n * p_max], so the value is finite for
     every accepted order and tends to the min-entropy -ln p_max as alpha grows.
+    Within 2**-4 of alpha = 1 it is log1p(S) / (1 - alpha) with
+    S = sum(p_i * expm1((alpha - 1) * ln p_i)), accurate as alpha nears 1.
+    S measures sum(p_i**alpha) against sum(p_i), which for a distribution
+    given as probabilities may differ from 1 by up to ``PROB_SUM_TOL``.
     """
     _check_order(alpha, "alpha")
     return _evaluate(RENYI, dist, alpha)
@@ -330,7 +340,13 @@ def _renyi(s: float, alpha: float, p: np.ndarray, n) -> float:
 
 
 def tsallis(dist: ProbDist, q: float) -> float:
-    """Tsallis entropy (1 - sum(p_i**q)) / (q - 1).  Requires q > 0, q != 1."""
+    """Tsallis entropy (1 - sum(p_i**q)) / (q - 1).  Requires q > 0, q != 1.
+
+    Within 2**-4 of q = 1 it is -S / (q - 1) with
+    S = sum(p_i * expm1((q - 1) * ln p_i)), accurate as q nears 1.  S
+    measures sum(p_i**q) against sum(p_i), which for a distribution given as
+    probabilities may differ from 1 by up to ``PROB_SUM_TOL``.
+    """
     _check_order(q, "q")
     return _evaluate(TSALLIS, dist, q)
 
@@ -408,6 +424,16 @@ _PHI = {
     PAL_PAL: (lambda p, _: p * np.exp(1.0 - p), _sum),
 }
 MEASURE_KINDS = tuple(_PHI)
+
+#: Within this distance of order 1, Renyi and Tsallis are made instead from
+#: S = sum(p_i * expm1((order - 1) * ln p_i)) = sum(p_i**order) - sum(p_i),
+#: whose terms share one sign, rather than from a cancelled 1 - sum(p_i**order)
+#: divided by the order's small distance from 1.
+_NEAR_ONE = 2.0**-4
+_VALUE_NEAR_ONE = {
+    RENYI: lambda s, alpha, p, n: math.log1p(s) / (1.0 - alpha),
+    TSALLIS: lambda s, q, p, n: -s / (q - 1.0),
+}
 
 
 def apply_measure(measure: EntropyMeasure, dist: ProbDist) -> float:

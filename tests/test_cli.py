@@ -75,13 +75,16 @@ class TestExitCodes:
         assert err.count("\n") == 1
         assert f"{bad}: truncated pixel data" in err
 
-    def test_threads_default_counts_usable_cpus(self, monkeypatch):
-        argv = ["fbim", "in.pgm", "--out", "map.pgm"]
+    @pytest.mark.parametrize("argv", [
+        ["fbim", "in.pgm", "--out", "map.pgm"],
+        ["classify", "--train", "corpus", "--report", "r.csv"],
+        ["compare", "--train", "corpus", "--report", "r.csv"],
+    ])
+    def test_threads_default_is_one_whatever_the_cpus(self, argv, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 5)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3, 7}, raising=False)
-        assert build_parser().parse_args(argv).threads == 2
+        assert build_parser().parse_args(argv).threads == 1
         monkeypatch.delattr(os, "sched_getaffinity")
-        assert build_parser().parse_args(argv).threads == 5
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert build_parser().parse_args(argv).threads == 1
 
@@ -106,7 +109,7 @@ class TestExitCodes:
         (["classify", "--train", "{image}", "--dist", "1", "--report", "{tmp}/r.csv"],
          "{image}: not a directory"),
         (["tile", "{image}", "--size", "0", "--out", "{tmp}/tiles"],
-         "tile size must be >= 1, got 0"),
+         "--size must be >= 1, got 0"),
     ])
     def test_bad_flag_is_one_line_error(self, argv, message, const_image, corpus, tmp_path,
                                         capsys):
@@ -309,7 +312,7 @@ class TestClassifyCommand:
 
 
 class TestSplitFlagsCheckedFirst:
-    """Split flags no corpus can satisfy fail before any tile is read."""
+    """Flags no corpus can satisfy fail before any tile is read."""
 
     @pytest.mark.parametrize("command", ["classify", "compare"])
     @pytest.mark.parametrize("flags, message", [
@@ -319,6 +322,9 @@ class TestSplitFlagsCheckedFirst:
         (["--fraction", "1.5"], "--fraction must lie in (0, 1), got 1.5"),
         (["--fraction", "0"], "--fraction must lie in (0, 1), got 0.0"),
         (["--fraction", "nan"], "--fraction must lie in (0, 1), got nan"),
+        (["--threads", "0"], "--threads must be >= 1, got 0"),
+        (["--threads", "-3"], "--threads must be >= 1, got -3"),
+        (["--levels", "1"], "--levels must be >= 2, got 1"),
     ])
     def test_rejected_before_loading(self, command, flags, message, corpus, tmp_path,
                                      capsys, monkeypatch):
@@ -332,6 +338,25 @@ class TestSplitFlagsCheckedFirst:
         out, err = capsys.readouterr()
         assert out == "" and err == f"error: {message}\n"
         assert loaded == []
+
+    @pytest.mark.parametrize("argv, message", [
+        (["fbim", "--out", "{tmp}/m.pgm", "--threads", "0"], "--threads must be >= 1, got 0"),
+        (["fbim", "--out", "{tmp}/m.pgm", "--dmax", "0"], "--dmax must be >= 1, got 0"),
+        (["fbim", "--out", "{tmp}/m.pgm", "--levels", "1"], "--levels must be >= 2, got 1"),
+        (["entropy", "--levels", "0"], "--levels must be >= 2, got 0"),
+        (["glcm", "--levels", "1"], "--levels must be >= 2, got 1"),
+        (["tile", "--size", "0", "--out", "{tmp}/tiles"], "--size must be >= 1, got 0"),
+    ])
+    def test_image_never_read(self, argv, message, tmp_path, capsys, monkeypatch):
+        # The image does not exist either, which would exit 2 if it were read.
+        read = []
+        monkeypatch.setattr(dataset, "read_pgm", lambda path: read.append(path))
+        command, *flags = argv
+        assert run([command, str(tmp_path / "missing.pgm"),
+                    *(f.format(tmp=tmp_path) for f in flags)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: {message}\n"
+        assert read == [] and not (tmp_path / "tiles").exists()
 
 
 class TestCompareCommand:

@@ -6,6 +6,7 @@ are additionally checked against an explicit per-cell loop written here.
 """
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from texent import (
     DegenerateNormalizationError,
     DomainError,
     EntropyMeasure,
+    Glcm,
     GrayImage,
     H_MIN,
     MEASURE_KINDS,
@@ -258,6 +260,28 @@ class TestComparisonEntropies:
     def test_tsallis_rejects_bad_q(self, q):
         with pytest.raises(DomainError):
             tsallis(ProbDist([0.5, 0.5]), q)
+
+    @pytest.mark.parametrize("order", [1 + 2.0**-52, 1 - 2.0**-52, 1 + 1e-12, 1 + 1e-6,
+                                       1 + 1e-3, 1 - 1e-3])
+    def test_renyi_and_tsallis_near_order_one_match_exact_reference(self, order):
+        rng = np.random.default_rng(52)
+        for _ in range(8):
+            counts = rng.integers(0, 50, (8, 8)) * (rng.random((8, 8)) < 0.8)
+            counts[0, 0] += 1
+            p = glcp(Glcm(counts, SpacingVector(1, 0)))
+            with localcontext() as ctx:
+                ctx.prec = 60
+                a, total = Decimal(order), Decimal(int(counts.sum()))
+                s = sum((Decimal(int(k)) / total) ** a for k in counts.flat if k)
+                want_renyi, want_tsallis = float(s.ln() / (1 - a)), float((1 - s) / (a - 1))
+            assert abs(renyi(p, order) - want_renyi) <= 2e-15
+            assert abs(tsallis(p, order) - want_tsallis) <= 2e-15
+
+    def test_dense_distribution_near_order_one_is_measured_against_its_total(self):
+        # The total is 1 + 5e-10; against 1 it would add 5e-10 / 1e-12 = 500.
+        p = ProbDist([0.25, 0.75 + 5e-10])
+        assert tsallis(p, 1 + 1e-12) == pytest.approx(shannon(p), abs=1e-9)
+        assert renyi(p, 1 + 1e-12) == pytest.approx(shannon(p), abs=1e-9)
 
     def test_pal_pal_values(self):
         assert pal_pal(ProbDist([1.0, 0.0])) == pytest.approx(1.0, abs=1e-12)
