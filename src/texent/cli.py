@@ -136,22 +136,26 @@ def _distances_from(args, images) -> "int | list[int]":
     """The spacing flags' distances, each below the shorter side of every image."""
     side = min(min(img.width, img.height) for img in images)
     if args.drange is None:
-        if args.dist < 1:
-            raise DomainError(f"--dist must be >= 1, got {args.dist}")
         if args.dist >= side:
             raise DomainError(f"--dist must be below the smallest image side {side}, "
                               f"got {args.dist}")
         return args.dist
-    try:
-        start, end = (int(x) for x in args.drange.split(":"))
-    except ValueError:
-        raise DomainError(f"--drange must be START:END, got {args.drange!r}") from None
-    if start < 1 or end < start:
-        raise DomainError(f"--drange must satisfy 1 <= START <= END, got {args.drange!r}")
+    start, end = _drange_bounds(args.drange)
     if end >= side:  # checked before the list of distances is built
         raise DomainError(f"--drange END must be below the smallest image side {side}, "
                           f"got {args.drange!r}")
     return list(range(start, end + 1))
+
+
+def _drange_bounds(text: str) -> tuple[int, int]:
+    """START and END of a ``--drange`` value, with 1 <= START <= END."""
+    try:
+        start, end = (int(x) for x in text.split(":"))
+    except ValueError:
+        raise DomainError(f"--drange must be START:END, got {text!r}") from None
+    if start < 1 or end < start:
+        raise DomainError(f"--drange must satisfy 1 <= START <= END, got {text!r}")
+    return start, end
 
 
 def _cmd_tile(args) -> int:
@@ -229,6 +233,10 @@ def _check_flags(args) -> None:
         value = getattr(args, flag, floor)
         if value < floor:
             raise DomainError(f"--{flag} must be >= {floor}, got {value}")
+    if getattr(args, "drange", None) is not None:
+        _drange_bounds(args.drange)
+    elif getattr(args, "dist", 1) < 1:  # --dist is ignored beside --drange
+        raise DomainError(f"--dist must be >= 1, got {args.dist}")
     if getattr(args, "test", None) is not None:
         if args.trials != 1:
             raise DomainError("--trials applies only when --test is omitted")

@@ -15,7 +15,8 @@ import numpy as np
 from ._pool import parallel_map
 from ._text import sig15
 from .errors import DegenerateVarianceError, DomainError
-from .glcm import ANGLES, GrayImage, SpacingVector, compute_glcm, correlation, glcm_entropy
+from .glcm import (ANGLES, GrayImage, SpacingVector, _correlations, compute_glcm, correlation,
+                   glcm_entropy)
 from .measures import EntropyMeasure
 
 __all__ = ["CORRELATION", "Fbim", "compute_fbim", "fbim_to_image", "fbim_to_csv"]
@@ -62,8 +63,12 @@ def compute_fbim(
     ``feature`` is an :class:`EntropyMeasure` or the string ``"correlation"``.
     Cells where the feature is undefined are flagged NaN rather than zeroed.
     The rows of angles 180..315 are copies of those of 0..135, which they
-    equal exactly.  Cells are independent, so they may be evaluated by
-    several threads; the assembled grid is identical to sequential evaluation.
+    equal exactly.  A correlation map takes the moments of every cell from
+    one FFT autocorrelation and summed-area tables, unless the image is too
+    large for that FFT to be exact; it then evaluates each cell as entropy
+    maps do.  Those cells are independent, so they may be evaluated by
+    ``threads`` threads; the assembled grid is identical to sequential
+    evaluation.
     """
     if d_max < 1:
         raise DomainError(f"d_max must be >= 1, got {d_max}")
@@ -87,8 +92,10 @@ def compute_fbim(
     half = len(ANGLES) // 2
     spacings = [SpacingVector(d=c + 1, theta=theta) for theta in ANGLES[:half]
                 for c in range(d_max)]
-    cells = parallel_map(lambda s: _cell_feature(img, feature, s, symmetric),
-                         spacings, threads)
+    cells = _correlations(img, spacings, symmetric) if name == CORRELATION else None
+    if cells is None:
+        cells = parallel_map(lambda s: _cell_feature(img, feature, s, symmetric),
+                             spacings, threads)
     values = np.array(cells, dtype=np.float64).reshape(half, d_max)
     values = np.concatenate((values, values))
     values.setflags(write=False)

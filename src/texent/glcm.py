@@ -304,15 +304,23 @@ def correlation(g: Glcm) -> float:
     if n == 0:
         raise EmptyGlcmError("co-occurrence matrix holds no pairs")
     if g._blocks is not None:
-        si, sj, sii, sjj, sij = _block_moments(*g._blocks)
+        moments = _block_moments(*g._blocks)
     else:
-        si, sj, sii, sjj, sij = _cell_moments(*g.cells, g.levels)
-    var_x = n * sii - si * si  # N**2 times the row index's variance
-    var_y = n * sjj - sj * sj
-    if var_x <= 0 or var_y <= 0:
+        moments = _cell_moments(*g.cells, g.levels)
+    value = _pearson(n, *moments)
+    if math.isnan(value):
         raise DegenerateVarianceError(
             "gray-level variance is zero along an axis; correlation undefined"
         )
+    return value
+
+
+def _pearson(n: int, si: int, sj: int, sii: int, sjj: int, sij: int) -> float:
+    # The correlation from exact integer moments, NaN when a variance is zero.
+    var_x = n * sii - si * si  # N**2 times the row index's variance
+    var_y = n * sjj - sj * sj
+    if var_x <= 0 or var_y <= 0:
+        return math.nan
     return (n * sij - si * sj) / math.sqrt(var_x * var_y)
 
 
@@ -332,6 +340,115 @@ def _cell_moments(codes: np.ndarray, values: np.ndarray, levels: int) -> tuple[i
     j = codes - i * levels
     wi, wj = values * i, values * j
     return int(wi.sum()), int(wj.sum()), int(wi @ i), int(wj @ j), int(wi @ j)
+
+
+def _correlations(img: GrayImage, spacings, symmetric: bool) -> "list[float] | None":
+    """:func:`correlation` of every spacing's pairs, NaN where it is undefined.
+
+    The integer moments of all spacings come from one pass over the image:
+    sum(i) and sum(i**2) over each pixel block are box sums over summed-area
+    tables of the pixels and of their squares, and sum(i*j) at every offset
+    is read off one zero-padded FFT autocorrelation and rounded to the
+    nearest integer.  That rounding is exact when the FFT is off by less
+    than 1/2; this returns None unless the worst-case error
+    (:func:`_autocorrelation_error_bound`) is below 1/4.  Each value is then
+    formed as :func:`correlation` forms it, so the two agree bit for bit.
+    """
+    px = img.pixels.astype(np.int64)
+    sq = px * px
+    h, w = px.shape
+    offsets = np.array([offset_of(s) for s in spacings])
+    dx, dy = offsets.T
+    lag = int(np.abs(offsets).max())
+    # Padding by the largest lag keeps the circular correlation from wrapping;
+    # 5-smooth sides keep every FFT pass a small butterfly.
+    shape = (_five_smooth(h + lag), _five_smooth(w + lag))
+    if _autocorrelation_error_bound(shape, int(sq.sum())) >= 0.25:
+        return None
+    sab = np.rint(_autocorrelation(px, shape)[dy % shape[0], dx % shape[1]]).astype(np.int64)
+
+    # The pairs (a, b) of compute_glcm's two blocks; b is a shifted by (dy, dx).
+    r0, r1 = np.maximum(-dy, 0), h - np.maximum(dy, 0)
+    c0, c1 = np.maximum(-dx, 0), w - np.maximum(dx, 0)
+    n = (r1 - r0) * (c1 - c0)
+    sums, squares = _summed_area(px), _summed_area(sq)
+    sa, saa = (_box_sums(t, r0, r1, c0, c1) for t in (sums, squares))
+    sb, sbb = (_box_sums(t, r0 + dy, r1 + dy, c0 + dx, c1 + dx) for t in (sums, squares))
+    if symmetric:  # as _block_moments: each pair counted both ways
+        moments = (2 * n, sa + sb, sa + sb, saa + sbb, saa + sbb, 2 * sab)
+    else:
+        moments = (n, sa, sb, saa, sbb, sab)
+    return [_pearson(*m) for m in zip(*(col.tolist() for col in moments))]
+
+
+def _autocorrelation(x: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    # r[dy, dx] ~ sum(x[p] * x[p + (dy, dx)]) over x zero-padded to shape, the
+    # offsets taken mod shape; in float64, off by at most the error bound.
+    fft = np.fft  # numpy.fft loads on first access, so importing texent skips it
+    spectrum = fft.rfft2(x, shape)
+    return fft.irfft2(spectrum.real ** 2 + spectrum.imag ** 2, shape)
+
+
+def _five_smooth(m: int) -> int:
+    # The least 2**a * 3**b * 5**c >= m.
+    while True:
+        k = m
+        for p in (2, 3, 5):
+            while k % p == 0:
+                k //= p
+        if k == 1:
+            return m
+        m += 1
+
+
+def _summed_area(x: np.ndarray) -> np.ndarray:
+    # t[r, c] = x[:r, :c].sum(), exact in int64.
+    t = np.zeros((x.shape[0] + 1, x.shape[1] + 1), dtype=np.int64)
+    np.cumsum(x, axis=0, out=t[1:, 1:])
+    np.cumsum(t[1:, 1:], axis=1, out=t[1:, 1:])
+    return t
+
+
+def _box_sums(t: np.ndarray, r0, r1, c0, c1) -> np.ndarray:
+    # x[r0:r1, c0:c1].sum() for each box, from the summed-area table t of x.
+    return t[r1, c1] - t[r0, c1] - t[r1, c0] + t[r0, c0]
+
+
+_U = 2.0 ** -53  # unit roundoff of float64
+
+
+def _gamma(k: int) -> float:
+    return k * _U / (1 - k * _U)
+
+
+def _autocorrelation_error_bound(shape: tuple[int, int], sum_sq: int) -> float:
+    """Worst-case error of any entry of ``irfft2(|rfft2(x, shape)|**2, shape)``.
+
+    ``sum_sq`` is sum(x**2).  Higham, *Accuracy and Stability of Numerical
+    Algorithms* (2002), Thm 24.2: a k-stage FFT y = F x computes y with
+    ||dy||_2 <= eps ||y||_2, eps = k eta / (1 - k eta), where
+    eta = u + gamma_4 (sqrt(2) + u) when each twiddle factor is within u.  A
+    P x Q transform is taken as k = ceil(log2 P) + ceil(log2 Q) stages, also
+    for the mixed-radix real transforms of ``numpy.fft``.  With n = P Q and
+    E = sum_sq, Parseval gives ||F x||_2 = sqrt(n E), so:
+
+    * the spectrum X is off by at most eps sqrt(n E);
+    * the power S = |X|**2, rounded within gamma_2, is off by at most
+      sigma n E, sigma = eps (2 + eps) + gamma_2 (1 + eps)**2, because
+      ||X_hat|**2 - |X|**2| <= |dX| (2 |X| + |dX|) and ||S||_2 <= ||X||_2**2;
+    * the inverse, whose 1/n scale is one more rounding, adds
+      eps + u (1 + eps) relative to ||S_hat||_2 / sqrt(n).
+
+    The max-norm error is at most the 2-norm error, and the inverse maps
+    ||S||_2 <= n E to sqrt(n) E: the bound is
+    (sigma + (eps + u (1 + eps)) (1 + sigma)) sqrt(n) E.
+    """
+    n = shape[0] * shape[1]
+    stages = sum((m - 1).bit_length() for m in shape)
+    eta = _U + _gamma(4) * (math.sqrt(2) + _U)
+    eps = stages * eta / (1 - stages * eta)
+    sigma = eps * (2 + eps) + _gamma(2) * (1 + eps) ** 2
+    return (sigma + (eps + _U * (1 + eps)) * (1 + sigma)) * math.sqrt(n) * sum_sq
 
 
 def glcm_entropy(g: Glcm, measure: EntropyMeasure) -> float:

@@ -325,6 +325,9 @@ class TestSplitFlagsCheckedFirst:
         (["--threads", "0"], "--threads must be >= 1, got 0"),
         (["--threads", "-3"], "--threads must be >= 1, got -3"),
         (["--levels", "1"], "--levels must be >= 2, got 1"),
+        (["--dist", "0"], "--dist must be >= 1, got 0"),
+        (["--drange", "1:x"], "--drange must be START:END, got '1:x'"),
+        (["--drange", "4:2"], "--drange must satisfy 1 <= START <= END, got '4:2'"),
     ])
     def test_rejected_before_loading(self, command, flags, message, corpus, tmp_path,
                                      capsys, monkeypatch):
@@ -345,6 +348,12 @@ class TestSplitFlagsCheckedFirst:
         (["fbim", "--out", "{tmp}/m.pgm", "--levels", "1"], "--levels must be >= 2, got 1"),
         (["entropy", "--levels", "0"], "--levels must be >= 2, got 0"),
         (["glcm", "--levels", "1"], "--levels must be >= 2, got 1"),
+        (["entropy", "--dist", "0"], "--dist must be >= 1, got 0"),
+        (["entropy", "--drange", "3"], "--drange must be START:END, got '3'"),
+        (["entropy", "--drange", "0:4"], "--drange must satisfy 1 <= START <= END, got '0:4'"),
+        (["entropy", "--drange", "5:1"], "--drange must satisfy 1 <= START <= END, got '5:1'"),
+        (["glcm", "--dist", "0"], "--dist must be >= 1, got 0"),
+        (["glcm", "--dist", "-2", "--angle", "90"], "--dist must be >= 1, got -2"),
         (["tile", "--size", "0", "--out", "{tmp}/tiles"], "--size must be >= 1, got 0"),
     ])
     def test_image_never_read(self, argv, message, tmp_path, capsys, monkeypatch):

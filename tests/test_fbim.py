@@ -1,21 +1,34 @@
 """Unit tests for polar interaction maps."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import texent
+import texent.fbim
+import texent.glcm
 from conftest import ORDERS, noise_image, stripe_image
 from texent import (
+    ANGLES,
     CORRELATION,
     MEASURE_KINDS,
     DomainError,
     EntropyMeasure,
     Fbim,
     GrayImage,
+    SpacingVector,
     compute_fbim,
     fbim_to_csv,
     fbim_to_image,
+    offset_of,
 )
+from texent.fbim import _cell_feature
+from texent.glcm import _autocorrelation, _autocorrelation_error_bound, _correlations
 
 HN = EntropyMeasure("proposed-normalized")
 
@@ -88,6 +101,118 @@ class TestComputeFbim:
         for feature in ("contrast", None, "proposed"):
             with pytest.raises(DomainError, match="feature must be an EntropyMeasure"):
                 compute_fbim(img, feature, d_max=2)
+
+
+def _per_cell_map(img, d_max, symmetric):
+    # Every cell of all eight angles through compute_glcm and correlation.
+    return np.array([[_cell_feature(img, CORRELATION, SpacingVector(d, theta), symmetric)
+                      for d in range(1, d_max + 1)] for theta in ANGLES])
+
+
+def _half_spacings(d_max):
+    return [SpacingVector(d, theta) for theta in ANGLES[:4] for d in range(1, d_max + 1)]
+
+
+#: The largest full-range (all 255) square image whose d_max = 31 correlation
+#: map the FFT error bound admits; README states it.
+FULL_RANGE_SIDE = 446
+
+
+class TestCorrelationFromAutocorrelation:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), h=st.integers(2, 24), w=st.integers(2, 24),
+           levels=st.integers(2, 256), spread=st.integers(1, 256), sparse=st.booleans(),
+           d_max=st.integers(1, 23), symmetric=st.booleans())
+    @example(seed=0, h=7, w=6, levels=4, spread=4, sparse=True, d_max=5, symmetric=False)
+    @example(seed=1, h=24, w=9, levels=256, spread=256, sparse=False, d_max=8,
+             symmetric=True)
+    @example(seed=2, h=2, w=24, levels=2, spread=2, sparse=False, d_max=1, symmetric=False)
+    def test_equals_the_per_cell_path_bit_for_bit(self, seed, h, w, levels, spread, sparse,
+                                                  d_max, symmetric):
+        # Sparse images are near-constant, so some or all of their cells are NaN.
+        rng = np.random.default_rng(seed)
+        px = rng.integers(0, min(spread, levels), size=(h, w))
+        if sparse:
+            px[rng.random((h, w)) >= 0.1] = 0
+        img = GrayImage(px, levels)
+        d_max = min(d_max, h - 1, w - 1)
+        fast = compute_fbim(img, CORRELATION, d_max=d_max, symmetric=symmetric).values
+        assert fast.tobytes() == _per_cell_map(img, d_max, symmetric).tobytes()
+
+    def test_nan_cells_where_a_block_is_constant(self):
+        px = np.zeros((7, 6), dtype=np.int64)
+        px[1, 1] = 2
+        img = GrayImage(px, 4)
+        fast = compute_fbim(img, CORRELATION, d_max=5).values
+        assert np.isnan(fast).sum() == 32 and np.isfinite(fast).sum() == 8
+        assert fast.tobytes() == _per_cell_map(img, 5, False).tobytes()
+
+    def test_never_evaluates_a_cell(self, monkeypatch):
+        def no_cell(*args):
+            raise AssertionError("a cell was evaluated on its own")
+
+        monkeypatch.setattr(texent.fbim, "_cell_feature", no_cell)
+        compute_fbim(noise_image(64, 48, seed=8), CORRELATION, d_max=31, threads=2)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_refused_bound_falls_back_to_the_cells(self, threads, monkeypatch):
+        img = noise_image(40, 30, seed=3)
+        expected = compute_fbim(img, CORRELATION, d_max=12, symmetric=True).values
+        evaluated = []
+
+        def cell(*args):
+            evaluated.append(args[2])
+            return _cell_feature(*args)
+
+        monkeypatch.setattr(texent.fbim, "_cell_feature", cell)
+        monkeypatch.setattr(texent.glcm, "_autocorrelation_error_bound",
+                            lambda shape, sum_sq: 0.25)
+        fallback = compute_fbim(img, CORRELATION, d_max=12, symmetric=True, threads=threads)
+        assert fallback.values.tobytes() == expected.tobytes()
+        assert sorted(evaluated, key=repr) == sorted(_half_spacings(12), key=repr)
+
+    def test_bound_admits_full_range_128_and_refuses_past_its_side(self):
+        spacings = _half_spacings(31)
+
+        def full_range(side):
+            return GrayImage(np.full((side, side), 255), 256)
+
+        assert _correlations(full_range(128), spacings, False) is not None
+        assert _correlations(full_range(FULL_RANGE_SIDE), spacings, False) is not None
+        assert _correlations(full_range(FULL_RANGE_SIDE + 1), spacings, False) is None
+        # Past that side the map is still made, one cell at a time.
+        big = full_range(FULL_RANGE_SIDE + 1)
+        assert np.isnan(compute_fbim(big, CORRELATION, d_max=1).values).all()
+
+    @pytest.mark.parametrize("px", [
+        np.full((128, 128), 255),
+        noise_image(128, 128, seed=21).pixels,
+        stripe_image(96, 128, period=5, duty=2).pixels,
+    ], ids=["full-range", "noise", "stripes"])
+    def test_observed_error_is_within_the_bound(self, px):
+        px = px.astype(np.int64)
+        h, w = px.shape
+        shape = (h + 31, w + 31)
+        auto = _autocorrelation(px, shape)
+        bound = _autocorrelation_error_bound(shape, int((px * px).sum()))
+        assert bound < 0.25
+        for spacing in _half_spacings(31):
+            dx, dy = offset_of(spacing)
+            a = px[max(-dy, 0):h - max(dy, 0), max(-dx, 0):w - max(dx, 0)]
+            b = px[max(dy, 0):h + min(dy, 0), max(dx, 0):w + min(dx, 0)]
+            assert abs(auto[dy % shape[0], dx % shape[1]] - int((a * b).sum())) <= bound
+
+    def test_importing_the_cli_leaves_numpy_fft_unloaded(self):
+        # numpy.fft is imported on the first correlation map, not at startup.
+        code = ("import sys, texent.cli\n"
+                "print('numpy.fft' in sys.modules)\n"
+                "texent.compute_fbim(texent.GrayImage([[0, 1], [1, 0]], 2), 'correlation', 1)\n"
+                "print('numpy.fft' in sys.modules)\n")
+        src = Path(texent.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True).stdout
+        assert out.split() == ["False", "True"]
 
 
 class TestFbimToImage:
