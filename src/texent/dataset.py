@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -187,10 +188,10 @@ def tile(img: GrayImage, size: int) -> list[GrayImage]:
 
 
 def _distance_list(distances) -> list[int]:
-    ds = [distances] if isinstance(distances, int) else [int(d) for d in distances]
-    if not ds or any(d < 1 for d in ds):
+    ds = list(distances) if isinstance(distances, Iterable) else [distances]
+    if not ds or not all(isinstance(d, numbers.Integral) and d >= 1 for d in ds):
         raise DomainError(f"distances must be integers >= 1, got {distances!r}")
-    return ds
+    return [int(d) for d in ds]
 
 
 def _extract_multi(

@@ -8,15 +8,15 @@ ridges of extreme feature values line up with the texture period.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._pool import parallel_map
 from ._text import sig15
-from .errors import DegenerateVarianceError, DomainError
-from .glcm import (ANGLES, GrayImage, SpacingVector, _correlations, compute_glcm, correlation,
-                   glcm_entropy)
+from .errors import DomainError
+from .glcm import ANGLES, GrayImage, SpacingVector, _correlations, compute_glcm, glcm_entropy
 from .measures import EntropyMeasure
 
 __all__ = ["CORRELATION", "Fbim", "compute_fbim", "fbim_to_image", "fbim_to_csv"]
@@ -42,13 +42,7 @@ class Fbim:
 
 
 def _cell_feature(img, feature, spacing, symmetric):
-    g = compute_glcm(img, spacing, symmetric)
-    if feature == CORRELATION:
-        try:
-            return correlation(g)
-        except DegenerateVarianceError:
-            return float("nan")
-    return glcm_entropy(g, feature)
+    return glcm_entropy(compute_glcm(img, spacing, symmetric), feature)
 
 
 def compute_fbim(
@@ -63,15 +57,16 @@ def compute_fbim(
     ``feature`` is an :class:`EntropyMeasure` or the string ``"correlation"``.
     Cells where the feature is undefined are flagged NaN rather than zeroed.
     The rows of angles 180..315 are copies of those of 0..135, which they
-    equal exactly.  A correlation map takes the moments of every cell from
-    one FFT autocorrelation and summed-area tables, unless the image is too
-    large for that FFT to be exact; it then evaluates each cell as entropy
-    maps do.  Those cells are independent, so they may be evaluated by
-    ``threads`` threads; the assembled grid is identical to sequential
-    evaluation.
+    equal exactly.  A correlation map is made from the whole image at once;
+    the cells of an entropy map are evaluated on ``threads`` threads.  The
+    grid is the same at every thread count.
     """
+    if not isinstance(d_max, numbers.Integral):
+        raise DomainError(f"d_max must be an integer, got {d_max!r}")
     if d_max < 1:
         raise DomainError(f"d_max must be >= 1, got {d_max}")
+    if threads < 1:
+        raise DomainError(f"threads must be >= 1, got {threads}")
     if isinstance(feature, EntropyMeasure):
         name = feature.kind
     elif isinstance(feature, str) and feature == CORRELATION:
@@ -92,8 +87,9 @@ def compute_fbim(
     half = len(ANGLES) // 2
     spacings = [SpacingVector(d=c + 1, theta=theta) for theta in ANGLES[:half]
                 for c in range(d_max)]
-    cells = _correlations(img, spacings, symmetric) if name == CORRELATION else None
-    if cells is None:
+    if name == CORRELATION:
+        cells = _correlations(img, spacings, symmetric)
+    else:
         cells = parallel_map(lambda s: _cell_feature(img, feature, s, symmetric),
                              spacings, threads)
     values = np.array(cells, dtype=np.float64).reshape(half, d_max)

@@ -128,15 +128,13 @@ class Glcm:
 
     ``counts`` is an L x L integer matrix; ``counts[i, j]`` is the number of
     pixel positions holding gray level i whose offset neighbor holds j.
-    :func:`compute_glcm` keeps the two pixel blocks whose pairs it counts and
-    tallies their nonzero cells, :attr:`cells`, on first access; ``counts``
-    (read-only) is built from the cells on first access.  A Glcm constructed
-    from a square matrix finds its cells in it, and every feature of one whose
-    counts are not integers, or include a negative one, raises
-    :class:`DomainError`.
+    :attr:`cells` holds its nonzero cells, and ``counts`` (read-only) is built
+    from them on first access.  A Glcm constructed from a square matrix finds
+    its cells in it, and every feature of one whose counts are not integers,
+    or include a negative one, raises :class:`DomainError`.
     """
 
-    __slots__ = ("_spacing", "_levels", "_counts", "_cells", "_total", "_blocks")
+    __slots__ = ("_spacing", "_levels", "_counts", "_cells", "_total")
 
     def __init__(self, counts, spacing: SpacingVector):
         counts = np.asarray(counts)
@@ -147,17 +145,14 @@ class Glcm:
         self._counts = counts
         self._levels = counts.shape[0]
         self._spacing = spacing
-        self._cells = self._total = self._blocks = None
+        self._cells = self._total = None
 
     @classmethod
-    def _of_blocks(cls, a: np.ndarray, b: np.ndarray, symmetric: bool, levels: int,
-                   spacing: SpacingVector) -> "Glcm":
-        # Pixel a[k] pairs with b[k]; with symmetric, b[k] with a[k] as well.
+    def _of_cells(cls, cells: tuple[np.ndarray, np.ndarray], total: int, levels: int,
+                  spacing: SpacingVector) -> "Glcm":
         g = cls.__new__(cls)
-        g._counts = g._cells = None
-        g._levels, g._spacing = levels, spacing
-        g._blocks = (a, b, symmetric)
-        g._total = a.size * (2 if symmetric else 1)
+        g._counts = None
+        g._cells, g._total, g._levels, g._spacing = cells, total, levels, spacing
         return g
 
     @property
@@ -183,21 +178,14 @@ class Glcm:
     def cells(self) -> tuple[np.ndarray, np.ndarray]:
         """(codes, counts) of the nonzero cells, by ascending code i * L + j."""
         if self._cells is None:
-            if self._blocks is None:
-                flat = self._counts.reshape(-1)
-                if not np.issubdtype(flat.dtype, np.integer):
-                    raise DomainError(f"co-occurrence counts must be integers, got {flat.dtype}")
-                codes = flat.nonzero()[0]
-                values = flat[codes]
-                if values.size and values.min() < 0:
-                    raise DomainError("co-occurrence counts must be non-negative")
-                self._cells = (codes, values)
-            else:
-                a, b, symmetric = self._blocks
-                codes = _pair_codes(a, b, self._levels)
-                if symmetric:
-                    codes = np.concatenate((codes, _pair_codes(b, a, self._levels)))
-                self._cells = _tally(codes, self._levels * self._levels)
+            flat = self._counts.reshape(-1)
+            if not np.issubdtype(flat.dtype, np.integer):
+                raise DomainError(f"co-occurrence counts must be integers, got {flat.dtype}")
+            codes = flat.nonzero()[0]
+            values = flat[codes]
+            if values.size and values.min() < 0:
+                raise DomainError("co-occurrence counts must be non-negative")
+            self._cells = (codes, values)
         return self._cells
 
     @property
@@ -253,9 +241,9 @@ def compute_glcm(
 
     Pairs whose offset neighbor falls outside the image are skipped.  With
     ``symmetric`` every pair is also accumulated reversed, which equals
-    adding the counts of the opposite angle.  The pairs are counted on first
-    use of the cells: their codes i * L + j are sorted when the L * L cells
-    outnumber them and binned otherwise; both give the same nonzero cells.
+    adding the counts of the opposite angle.  The pair codes i * L + j are
+    sorted when the L * L cells outnumber them and binned otherwise; both
+    give the same nonzero cells.
     """
     dx, dy = offset_of(spacing)
     h, w = img.height, img.width
@@ -266,10 +254,13 @@ def compute_glcm(
             f"no in-bounds pixel pairs for d={spacing.d}, theta={spacing.theta} "
             f"on a {w}x{h} image"
         )
-    px = img.pixels
+    px, levels = img.pixels, img.levels
     a = px[r0:r1, c0:c1]
     b = px[r0 + dy : r1 + dy, c0 + dx : c1 + dx]
-    return Glcm._of_blocks(a, b, symmetric, img.levels, spacing)
+    codes = _pair_codes(a, b, levels)
+    if symmetric:
+        codes = np.concatenate((codes, _pair_codes(b, a, levels)))
+    return Glcm._of_cells(_tally(codes, levels * levels), codes.size, levels, spacing)
 
 
 def glcp(g: Glcm) -> ProbDist:
@@ -293,21 +284,13 @@ def correlation(g: Glcm) -> float:
     and column index (mu_y, sigma_y) under f.  Lies in [-1, 1].  Raises when
     either variance is zero, as for a constant image.
 
-    Evaluated from the integer moments of the pairs, N, sum(i), sum(j),
-    sum(i**2), sum(j**2) and sum(i*j), as (N sum(i*j) - sum(i) sum(j)) over
-    the square root of the product of N sum(i**2) - sum(i)**2 and its j twin,
-    in exact integers up to that last division and root.  The moments of a
-    GLCM from :func:`compute_glcm` are sums over its two pixel blocks, so
-    its cells are never tallied.
+    Evaluated in exact integers, up to the last division and root, from the
+    moments N, sum(i), sum(j), sum(i**2), sum(j**2) and sum(i*j) of the cells.
     """
     n = g.total
     if n == 0:
         raise EmptyGlcmError("co-occurrence matrix holds no pairs")
-    if g._blocks is not None:
-        moments = _block_moments(*g._blocks)
-    else:
-        moments = _cell_moments(*g.cells, g.levels)
-    value = _pearson(n, *moments)
+    value = _pearson(n, *_cell_moments(*g.cells, g.levels))
     if math.isnan(value):
         raise DegenerateVarianceError(
             "gray-level variance is zero along an axis; correlation undefined"
@@ -324,57 +307,51 @@ def _pearson(n: int, si: int, sj: int, sii: int, sjj: int, sij: int) -> float:
     return (n * sij - si * sj) / math.sqrt(var_x * var_y)
 
 
-def _block_moments(a: np.ndarray, b: np.ndarray, symmetric: bool) -> tuple[int, ...]:
-    # sum(i), sum(j), sum(i**2), sum(j**2), sum(i*j) over the pairs (a[k], b[k]),
-    # and over (b[k], a[k]) too when symmetric.
-    a, b = a.astype(np.uint16), b.astype(np.uint16)  # 255**2 = 65 025 fits
-    sa, sb, saa, sbb, sab = (int(x.sum(dtype=np.int64)) for x in (a, b, a * a, b * b, a * b))
-    if symmetric:
-        return sa + sb, sa + sb, saa + sbb, saa + sbb, 2 * sab
-    return sa, sb, saa, sbb, sab
-
-
 def _cell_moments(codes: np.ndarray, values: np.ndarray, levels: int) -> tuple[int, ...]:
-    # The same five sums over the cells, each pair weighted by its cell's count.
-    i = codes // levels
-    j = codes - i * levels
-    wi, wj = values * i, values * j
-    return int(wi.sum()), int(wj.sum()), int(wi @ i), int(wj @ j), int(wi @ j)
+    # sum(i), sum(j), sum(i**2), sum(j**2), sum(i*j), each pair weighted by
+    # its cell's count; one int64 weight buffer serves the i and the j sums.
+    i, j = np.divmod(codes, levels)
+    w = np.multiply(values, i, dtype=np.int64)
+    si, sii, sij = int(w.sum()), int(w @ i), int(w @ j)
+    np.multiply(values, j, out=w, dtype=np.int64)
+    return si, int(w.sum()), sii, int(w @ j), sij
 
 
-def _correlations(img: GrayImage, spacings, symmetric: bool) -> "list[float] | None":
+def _correlations(img: GrayImage, spacings, symmetric: bool) -> list[float]:
     """:func:`correlation` of every spacing's pairs, NaN where it is undefined.
 
-    The integer moments of all spacings come from one pass over the image:
+    The integer moments of all spacings come from the whole image at once:
     sum(i) and sum(i**2) over each pixel block are box sums over summed-area
-    tables of the pixels and of their squares, and sum(i*j) at every offset
-    is read off one zero-padded FFT autocorrelation and rounded to the
-    nearest integer.  That rounding is exact when the FFT is off by less
-    than 1/2; this returns None unless the worst-case error
-    (:func:`_autocorrelation_error_bound`) is below 1/4.  Each value is then
-    formed as :func:`correlation` forms it, so the two agree bit for bit.
+    tables of the pixels and of their squares.  sum(i*j) at every offset is
+    read off one zero-padded FFT autocorrelation, rounded to the nearest
+    integer, while its worst-case error (:func:`_autocorrelation_error_bound`)
+    is below 1/4; past that it is summed exactly, one offset at a time.
+    Each value is then formed as :func:`correlation` forms it, so the two
+    agree bit for bit.
     """
     px = img.pixels.astype(np.int64)
     sq = px * px
     h, w = px.shape
     offsets = np.array([offset_of(s) for s in spacings])
     dx, dy = offsets.T
+    # The pairs (a, b) of compute_glcm's two blocks; b is a shifted by (dy, dx).
+    r0, r1 = np.maximum(-dy, 0), h - np.maximum(dy, 0)
+    c0, c1 = np.maximum(-dx, 0), w - np.maximum(dx, 0)
     lag = int(np.abs(offsets).max())
     # Padding by the largest lag keeps the circular correlation from wrapping;
     # 5-smooth sides keep every FFT pass a small butterfly.
     shape = (_five_smooth(h + lag), _five_smooth(w + lag))
-    if _autocorrelation_error_bound(shape, int(sq.sum())) >= 0.25:
-        return None
-    sab = np.rint(_autocorrelation(px, shape)[dy % shape[0], dx % shape[1]]).astype(np.int64)
+    if _autocorrelation_error_bound(shape, int(sq.sum())) < 0.25:
+        sab = np.rint(_autocorrelation(px, shape)[dy % shape[0], dx % shape[1]]).astype(np.int64)
+    else:
+        sab = np.array([(px[y0:y1, x0:x1] * px[y0 + y:y1 + y, x0 + x:x1 + x]).sum()
+                        for y0, y1, x0, x1, y, x in zip(r0, r1, c0, c1, dy, dx)])
 
-    # The pairs (a, b) of compute_glcm's two blocks; b is a shifted by (dy, dx).
-    r0, r1 = np.maximum(-dy, 0), h - np.maximum(dy, 0)
-    c0, c1 = np.maximum(-dx, 0), w - np.maximum(dx, 0)
     n = (r1 - r0) * (c1 - c0)
     sums, squares = _summed_area(px), _summed_area(sq)
     sa, saa = (_box_sums(t, r0, r1, c0, c1) for t in (sums, squares))
     sb, sbb = (_box_sums(t, r0 + dy, r1 + dy, c0 + dx, c1 + dx) for t in (sums, squares))
-    if symmetric:  # as _block_moments: each pair counted both ways
+    if symmetric:  # each pair counted both ways
         moments = (2 * n, sa + sb, sa + sb, saa + sbb, saa + sbb, 2 * sab)
     else:
         moments = (n, sa, sb, saa, sbb, sab)

@@ -314,6 +314,21 @@ class TestExtractFeature:
         with pytest.raises(DomainError):
             extract_feature(img, EntropyMeasure("proposed"), [])
 
+    @pytest.mark.parametrize("distances", [[1.5, 2.7], 2.5, 3.0, ["3"], "3", [1, None], None],
+                             ids=repr)
+    def test_non_integer_distances_rejected(self, distances):
+        img = noise_image(8, 8, seed=8)
+        with pytest.raises(DomainError, match="distances must be integers >= 1"):
+            extract_feature(img, EntropyMeasure("proposed"), distances)
+
+    def test_numpy_integer_distances_accepted(self):
+        img = noise_image(8, 8, seed=8)
+        m = EntropyMeasure("proposed")
+        want = extract_feature(img, m, [1, 2])
+        assert extract_feature(img, m, np.array([1, 2])) == want
+        assert extract_feature(img, m, [np.int32(1), np.uint8(2)]) == want
+        assert extract_feature(img, m, np.int64(2)) == want[1:]
+
 
 def _toy_set(classes=3, per_class=6, dim=2):
     rows = []

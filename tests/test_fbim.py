@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,11 +24,13 @@ from texent import (
     GrayImage,
     SpacingVector,
     compute_fbim,
+    compute_glcm,
+    correlation,
     fbim_to_csv,
     fbim_to_image,
     offset_of,
 )
-from texent.fbim import _cell_feature
+from texent.errors import DegenerateVarianceError
 from texent.glcm import _autocorrelation, _autocorrelation_error_bound, _correlations
 
 HN = EntropyMeasure("proposed-normalized")
@@ -54,6 +57,22 @@ class TestComputeFbim:
     def test_dmax_below_one(self):
         with pytest.raises(DomainError, match="d_max must be >= 1, got 0"):
             compute_fbim(noise_image(8, 8, seed=2), EntropyMeasure("proposed"), d_max=0)
+
+    @pytest.mark.parametrize("d_max", [3.0, 2.5, "3", None])
+    def test_dmax_not_an_integer(self, d_max):
+        with pytest.raises(DomainError, match="d_max must be an integer"):
+            compute_fbim(noise_image(8, 8, seed=2), CORRELATION, d_max=d_max)
+
+    def test_dmax_numpy_integer_accepted(self):
+        img = noise_image(8, 8, seed=2)
+        f = compute_fbim(img, CORRELATION, d_max=np.int64(3))
+        assert f.values.tobytes() == compute_fbim(img, CORRELATION, d_max=3).values.tobytes()
+
+    @pytest.mark.parametrize("threads", [0, -5])
+    @pytest.mark.parametrize("feature", [CORRELATION, HN], ids=["correlation", "entropy"])
+    def test_threads_below_one(self, feature, threads):
+        with pytest.raises(DomainError, match=f"threads must be >= 1, got {threads}"):
+            compute_fbim(noise_image(8, 8, seed=2), feature, d_max=3, threads=threads)
 
     def test_constant_image_correlation_all_missing(self):
         img = GrayImage(np.full((20, 20), 9, dtype=np.int64), levels=16)
@@ -103,10 +122,25 @@ class TestComputeFbim:
                 compute_fbim(img, feature, d_max=2)
 
 
+def _cell_correlation(img, spacing, symmetric):
+    try:
+        return correlation(compute_glcm(img, spacing, symmetric))
+    except DegenerateVarianceError:
+        return float("nan")
+
+
 def _per_cell_map(img, d_max, symmetric):
     # Every cell of all eight angles through compute_glcm and correlation.
-    return np.array([[_cell_feature(img, CORRELATION, SpacingVector(d, theta), symmetric)
+    return np.array([[_cell_correlation(img, SpacingVector(d, theta), symmetric)
                       for d in range(1, d_max + 1)] for theta in ANGLES])
+
+
+def _refused_bound(shape, sum_sq):
+    return 0.25
+
+
+def _no_autocorrelation(x, shape):
+    raise AssertionError("the FFT autocorrelation was computed")
 
 
 def _half_spacings(d_max):
@@ -130,14 +164,21 @@ class TestCorrelationFromAutocorrelation:
     def test_equals_the_per_cell_path_bit_for_bit(self, seed, h, w, levels, spread, sparse,
                                                   d_max, symmetric):
         # Sparse images are near-constant, so some or all of their cells are NaN.
+        # The map is checked from the FFT and, with the bound refused, from
+        # exact per-offset sums.
         rng = np.random.default_rng(seed)
         px = rng.integers(0, min(spread, levels), size=(h, w))
         if sparse:
             px[rng.random((h, w)) >= 0.1] = 0
         img = GrayImage(px, levels)
         d_max = min(d_max, h - 1, w - 1)
+        expected = _per_cell_map(img, d_max, symmetric).tobytes()
         fast = compute_fbim(img, CORRELATION, d_max=d_max, symmetric=symmetric).values
-        assert fast.tobytes() == _per_cell_map(img, d_max, symmetric).tobytes()
+        assert fast.tobytes() == expected
+        with mock.patch.object(texent.glcm, "_autocorrelation_error_bound", _refused_bound), \
+                mock.patch.object(texent.glcm, "_autocorrelation", _no_autocorrelation):
+            exact = compute_fbim(img, CORRELATION, d_max=d_max, symmetric=symmetric).values
+        assert exact.tobytes() == expected
 
     def test_nan_cells_where_a_block_is_constant(self):
         px = np.zeros((7, 6), dtype=np.int64)
@@ -155,34 +196,36 @@ class TestCorrelationFromAutocorrelation:
         compute_fbim(noise_image(64, 48, seed=8), CORRELATION, d_max=31, threads=2)
 
     @pytest.mark.parametrize("threads", [1, 2])
-    def test_refused_bound_falls_back_to_the_cells(self, threads, monkeypatch):
+    def test_refused_bound_sums_each_offset_exactly(self, threads, monkeypatch):
         img = noise_image(40, 30, seed=3)
         expected = compute_fbim(img, CORRELATION, d_max=12, symmetric=True).values
-        evaluated = []
+        monkeypatch.setattr(texent.glcm, "_autocorrelation_error_bound", _refused_bound)
+        monkeypatch.setattr(texent.glcm, "_autocorrelation", _no_autocorrelation)
+        exact = compute_fbim(img, CORRELATION, d_max=12, symmetric=True, threads=threads)
+        assert exact.values.tobytes() == expected.tobytes()
 
-        def cell(*args):
-            evaluated.append(args[2])
-            return _cell_feature(*args)
-
-        monkeypatch.setattr(texent.fbim, "_cell_feature", cell)
-        monkeypatch.setattr(texent.glcm, "_autocorrelation_error_bound",
-                            lambda shape, sum_sq: 0.25)
-        fallback = compute_fbim(img, CORRELATION, d_max=12, symmetric=True, threads=threads)
-        assert fallback.values.tobytes() == expected.tobytes()
-        assert sorted(evaluated, key=repr) == sorted(_half_spacings(12), key=repr)
-
-    def test_bound_admits_full_range_128_and_refuses_past_its_side(self):
+    def test_bound_admits_full_range_128_and_refuses_past_its_side(self, monkeypatch):
         spacings = _half_spacings(31)
+        calls = []
+
+        def autocorrelation(x, shape):
+            calls.append(x.shape)
+            return _autocorrelation(x, shape)
 
         def full_range(side):
             return GrayImage(np.full((side, side), 255), 256)
 
-        assert _correlations(full_range(128), spacings, False) is not None
-        assert _correlations(full_range(FULL_RANGE_SIDE), spacings, False) is not None
-        assert _correlations(full_range(FULL_RANGE_SIDE + 1), spacings, False) is None
-        # Past that side the map is still made, one cell at a time.
-        big = full_range(FULL_RANGE_SIDE + 1)
-        assert np.isnan(compute_fbim(big, CORRELATION, d_max=1).values).all()
+        monkeypatch.setattr(texent.glcm, "_autocorrelation", autocorrelation)
+        for side in (128, FULL_RANGE_SIDE, FULL_RANGE_SIDE + 1):
+            assert np.isnan(_correlations(full_range(side), spacings, False)).all()
+        assert calls == [(128, 128), (FULL_RANGE_SIDE, FULL_RANGE_SIDE)]
+        # Past that side the map is made from exact per-offset sums: here a
+        # 480x480 image of 254s and 255s, whose bound is about 0.31.
+        rng = np.random.default_rng(4)
+        bright = GrayImage(255 - rng.integers(0, 2, size=(480, 480)), 256)
+        values = _correlations(bright, spacings, True)
+        assert len(calls) == 2
+        assert values[::10] == [_cell_correlation(bright, s, True) for s in spacings[::10]]
 
     @pytest.mark.parametrize("px", [
         np.full((128, 128), 255),

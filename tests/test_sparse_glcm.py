@@ -36,7 +36,7 @@ from texent import (
 )
 from texent.errors import DegenerateVarianceError
 from texent.fbim import _cell_feature
-from texent.glcm import _tally_binned, _tally_sorted
+from texent.glcm import _correlations, _tally_binned, _tally_sorted
 
 
 def _dense_proposed(p, order):
@@ -189,8 +189,7 @@ def test_sort_and_bincount_counting_agree(seed, h, w, levels, spread, d, theta, 
         matrix = matrix + matrix.T
     for branch in BRANCHES.values():
         with mock.patch.object(texent.glcm, "_tally", branch):
-            g = compute_glcm(img, spacing, symmetric)
-            g.counts  # the cells are tallied on first access, under the patch
+            g = compute_glcm(img, spacing, symmetric)  # tallied here, under the patch
         assert np.array_equal(g.counts, matrix)
         assert g.counts.dtype == matrix.dtype and not g.counts.flags.writeable
         assert g.total == codes.size
@@ -198,38 +197,64 @@ def test_sort_and_bincount_counting_agree(seed, h, w, levels, spread, d, theta, 
 
 @settings(max_examples=60, deadline=None)
 @given(**_IMAGES, d=st.integers(1, 13), theta=st.sampled_from(ANGLES),
-       symmetric=st.booleans())
-@example(seed=0, h=6, w=6, levels=256, spread=1, d=2, theta=45, symmetric=True)
-@example(seed=2, h=14, w=14, levels=256, spread=256, d=1, theta=135, symmetric=False)
+       symmetric=st.booleans(),
+       dtype=st.sampled_from([np.uint16, np.int32, np.int64, np.uint64]))
+@example(seed=0, h=6, w=6, levels=256, spread=1, d=2, theta=45, symmetric=True,
+         dtype=np.int64)
+@example(seed=2, h=14, w=14, levels=256, spread=256, d=1, theta=135, symmetric=False,
+         dtype=np.uint64)
 def test_pixel_pair_moments_equal_cell_moments(seed, h, w, levels, spread, d, theta,
-                                               symmetric):
-    # compute_glcm's correlation sums over the two pixel blocks; a Glcm built
-    # from the same counts sums over the cells.  Both give the same integers.
+                                               symmetric, dtype):
+    # A correlation map sums over the pixel pairs, through summed-area tables
+    # and the autocorrelation; correlation sums over the cells, tallied or
+    # found in a matrix.  All give the same integers, so the same value.
     img = _image(seed, h, w, levels, spread)
     spacing = SpacingVector(min(d, h - 1, w - 1), theta)
+    [from_pixels] = _correlations(img, [spacing], symmetric)
     g = compute_glcm(img, spacing, symmetric)
-    from_cells = Glcm(counts=g.counts, spacing=spacing)
-    try:
-        direct = correlation(g)
-    except DegenerateVarianceError:
-        with pytest.raises(DegenerateVarianceError):
-            correlation(from_cells)
-        return
-    assert np.float64(direct).tobytes() == np.float64(correlation(from_cells)).tobytes()
+    for from_cells in (g, Glcm(counts=g.counts.astype(dtype), spacing=spacing)):
+        try:
+            value = correlation(from_cells)
+        except DegenerateVarianceError:
+            value = math.nan
+        assert np.float64(from_pixels).tobytes() == np.float64(value).tobytes()
 
 
-def test_correlation_never_tallies_cells(monkeypatch):
+def test_correlation_map_never_tallies_cells(monkeypatch):
     def no_tally(codes, cells):
         raise AssertionError("the cells were tallied")
 
     monkeypatch.setattr(texent.glcm, "_tally", no_tally)
     img = noise_image(24, 24, seed=5, levels=256)
-    for theta in ANGLES:
-        for symmetric in (False, True):
-            correlation(compute_glcm(img, SpacingVector(3, theta), symmetric))
     compute_fbim(img, CORRELATION, d_max=4, threads=2)
     with pytest.raises(AssertionError, match="tallied"):
-        glcp(compute_glcm(img, SpacingVector(3, 0)))
+        compute_glcm(img, SpacingVector(3, 0))
+
+
+@pytest.mark.parametrize("symmetric", [False, True])
+def test_one_glcm_is_tallied_once(symmetric, monkeypatch):
+    calls = []
+
+    def tally(codes, cells):
+        calls.append(codes.size)
+        return _tally_sorted(codes)
+
+    monkeypatch.setattr(texent.glcm, "_tally", tally)
+    img = noise_image(24, 24, seed=5, levels=256)
+    g = compute_glcm(img, SpacingVector(3, 45), symmetric)
+    glcp(g)
+    correlation(g)
+    g.counts
+    assert calls == [g.total]
+
+
+def _direct_cell(img, feature, spacing, symmetric):
+    if feature != CORRELATION:
+        return _cell_feature(img, feature, spacing, symmetric)
+    try:
+        return correlation(compute_glcm(img, spacing, symmetric))
+    except DegenerateVarianceError:
+        return math.nan
 
 
 @settings(max_examples=30, deadline=None)
@@ -247,7 +272,7 @@ def test_mirrored_rows_equal_the_cells_they_copy(seed, h, w, levels, spread, d_m
         feature = EntropyMeasure.select(feature, order, order)
     values = compute_fbim(img, feature, d_max=d_max, symmetric=symmetric).values
     for row in range(4, 8):
-        direct = [_cell_feature(img, feature, SpacingVector(d, ANGLES[row]), symmetric)
+        direct = [_direct_cell(img, feature, SpacingVector(d, ANGLES[row]), symmetric)
                   for d in range(1, d_max + 1)]
         assert np.array(direct, dtype=np.float64).tobytes() == values[row].tobytes()
 
