@@ -1,8 +1,17 @@
 """Order-preserving map over a thread pool."""
 
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 
 from .errors import DomainError
+
+
+def check_threads(threads) -> None:
+    """Raise :class:`DomainError` unless ``threads`` is an integer >= 1."""
+    if not isinstance(threads, numbers.Integral):
+        raise DomainError(f"threads must be an integer, got {threads!r}")
+    if threads < 1:
+        raise DomainError(f"threads must be >= 1, got {threads}")
 
 
 def parallel_map(fn, items, threads: int) -> list:
@@ -11,8 +20,7 @@ def parallel_map(fn, items, threads: int) -> list:
     Each worker maps one contiguous share of the items, so the pool runs at
     most ``threads`` tasks however many items there are.
     """
-    if threads < 1:
-        raise DomainError(f"threads must be >= 1, got {threads}")
+    check_threads(threads)
     if threads == 1:
         return [fn(x) for x in items]
     items = list(items)

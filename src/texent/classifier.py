@@ -33,6 +33,11 @@ NEAREST_CENTROID = "centroid"
 #: Most bytes of squared distances held at once, in chunks of query rows.
 _MATRIX_BYTES = 64 << 20
 
+#: Nearest records ranked per record for cross-validation, and the most bytes
+#: of column indices ranked at once.
+_CANDIDATES = 16
+_RANK_BYTES = 1 << 20
+
 
 @dataclass(frozen=True, eq=False)
 class TrainedModel:
@@ -105,6 +110,20 @@ def _distance_chunks(points: np.ndarray, queries: np.ndarray):
     rows = max(1, _MATRIX_BYTES // (8 * len(points)))
     for start in range(0, len(queries), rows):
         yield start, _sq_distances(points, queries[start : start + rows])
+
+
+def _ranked(d2: np.ndarray, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # Per row, the columns of its _CANDIDATES least distances ordered by
+    # (distance, code), and those distances.  Every other column lies at or
+    # beyond the row's last candidate distance.
+    k = min(_CANDIDATES, d2.shape[1])
+    rows = max(1, _RANK_BYTES // (8 * d2.shape[1]))
+    cols = np.empty((len(d2), k), dtype=np.intp)
+    for r in range(0, len(d2), rows):  # one block's full ranking alive at a time
+        cols[r:r + rows] = np.argpartition(d2[r:r + rows], k - 1, axis=1)[:, :k]
+    dist = np.take_along_axis(d2, cols, axis=1)
+    order = np.lexsort((codes[cols], dist))
+    return np.take_along_axis(cols, order, axis=1), np.take_along_axis(dist, order, axis=1)
 
 
 def _predict(points: np.ndarray, codes: np.ndarray, queries: np.ndarray) -> np.ndarray:
@@ -199,10 +218,14 @@ def repeated_cross_validate(
 
     The folds, points and label codes are built once.  1-NN computes the
     squared distance between every two records once, in chunks of query rows
-    of at most 64 MiB, and resolves every split's test records in each
-    chunk; nearest-centroid predicts each fold against its train fold's
-    class means.  The distances have the bits :func:`classify` gives them,
-    so the reports equal those of :func:`two_way` on :func:`split`'s folds.
+    of at most 64 MiB, and ranks each record's 16 nearest records by
+    (distance, label).  A test record takes the label of its first ranked
+    record in the train fold; when there is none, or that record lies at the
+    last ranked distance, where an unranked record may tie with it, the
+    record is resolved against the whole train fold.  Nearest-centroid
+    predicts each fold against its train fold's class means.  The distances
+    have the bits :func:`classify` gives them, so the reports equal those of
+    :func:`two_way` on :func:`split`'s folds.
     """
     records = full_set.records
     _check_training(kind, records)
@@ -219,10 +242,20 @@ def repeated_cross_validate(
     else:
         predicted = [np.empty(len(test), dtype=np.intp) for _, test in folds]
         for start, d2 in _distance_chunks(points, points):
+            cols, dist = _ranked(d2, codes)
             for (train_idx, test_idx), out in zip(folds, predicted):
                 here = (test_idx >= start) & (test_idx < start + len(d2))
-                out[here] = _nearest(d2[np.ix_(test_idx[here] - start, train_idx)],
-                                     codes[train_idx])
+                rows = test_idx[here] - start
+                in_train = np.zeros(len(records), dtype=bool)
+                in_train[train_idx] = True
+                hit = in_train[cols[rows]]
+                first = hit.argmax(axis=1)
+                sure = hit.any(axis=1) & (dist[rows, first] < dist[rows, -1])
+                got = codes[cols[rows, first]]
+                if not sure.all():
+                    got[~sure] = _nearest(d2[np.ix_(rows[~sure], train_idx)],
+                                          codes[train_idx])
+                out[here] = got
     reports = [_report(names, codes[test], p) for (_, test), p in zip(folds, predicted)]
     return list(zip(reports[::2], reports[1::2]))
 

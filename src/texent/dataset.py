@@ -17,6 +17,7 @@ import csv
 import math
 import numbers
 import re
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
@@ -77,19 +78,49 @@ def _int_token(data: bytes, pos: int, what: str) -> tuple[int, int]:
     raise PgmError(f"malformed {what} {token!r}", offset=m.start(1))
 
 
+# bytes.translate tables for a P2 raster.  _P2_DIGIT maps a digit to its
+# value and any other byte to 0; _P2_CLASS maps a digit to 0, whitespace (as
+# bytes.split() sees it) to 1 and any other byte to 2.
+_P2_DIGIT = bytes(b - 48 if 48 <= b <= 57 else 0 for b in range(256))
+_P2_CLASS = bytes(0 if 48 <= b <= 57 else 1 if bytes([b]).isspace() else 2
+                  for b in range(256))
+
+
+def _p2_values(raster: bytes, count: int, maxval: int) -> "np.ndarray | None":
+    # The first ``count`` words of a blanked raster as pixel values, or None
+    # unless each is all digits, no longer than int() converts, and at most
+    # maxval.  A value is the word's last three digits; an earlier nonzero
+    # digit puts it above 255.
+    padded = b"   " + raster + b" "  # so a word's last three indices are >= 0
+    cls = np.frombuffer(padded.translate(_P2_CLASS), dtype=np.uint8)
+    space = cls == 1
+    edges = np.flatnonzero(space[1:] != space[:-1])  # before each word, at its end
+    if len(edges) < 2 * count:
+        return None
+    last = edges[1 : 2 * count : 2]  # each word's last byte
+    length = last - edges[0 : 2 * count : 2]
+    end = last[-1] + 1
+    if cls[:end].max() > 1 or 0 < sys.get_int_max_str_digits() < length.max():
+        return None
+    digit = np.frombuffer(padded.translate(_P2_DIGIT), dtype=np.uint8)
+    ones, tens, hundreds = (digit[last - k].astype(np.intp) for k in range(3))
+    hundreds[length < 3] = 0  # last - 2 may lie in the word before
+    nonzero = np.count_nonzero(ones) + np.count_nonzero(tens) + np.count_nonzero(hundreds)
+    if nonzero < np.count_nonzero(digit[:end]):
+        return None
+    values = ones + 10 * tens + 100 * hundreds
+    return values.astype(np.uint8) if values.max() <= maxval else None
+
+
 def _p2_raster(data: bytes, pos: int, count: int, maxval: int) -> np.ndarray:
     # The first ``count`` words after ``pos``, comments blanked to spaces so
     # each word keeps its offset; bytes after them are ignored.
     raster = _COMMENT.sub(lambda m: b" " * len(m[0]), data[pos:])
-    words = raster.split()[:count]
-    try:
-        if len(words) == count and b"".join(words).isdigit():
-            values = list(map(int, words))
-            if max(values) <= maxval:
-                return np.array(values, dtype=np.uint8)
-    except ValueError:  # more digits than int() converts
-        pass
+    values = _p2_values(raster, count, maxval)
+    if values is not None:
+        return values
     # Locate the first fault: a word read as a token, as the header's are.
+    words = raster.split()[:count]
     for word in words:
         value, pos = _int_token(data, pos, "pixel value")
         if value > maxval:
@@ -295,6 +326,14 @@ class SplitSpec:
 
 
 _MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+
+
+def _mix(z):
+    # SplitMix64's output of a state: a Python int, or each of a uint64 array.
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
 
 
 class SplitMix64:
@@ -312,16 +351,22 @@ class SplitMix64:
         self._state = seed & _MASK64
 
     def next(self) -> int:
-        self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK64
-        z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        return z ^ (z >> 31)
+        self._state = (self._state + _GAMMA) & _MASK64
+        return _mix(self._state)
 
     def shuffle(self, items: list) -> None:
-        """In-place Fisher-Yates shuffle, high index downward, j = next() % (i+1)."""
-        for i in range(len(items) - 1, 0, -1):
-            j = self.next() % (i + 1)
+        """In-place Fisher-Yates shuffle, high index downward, j = next() % (i+1).
+
+        The draws are those of :meth:`next`, made at once: the k-th state is
+        the state plus k * 0x9E3779B97F4A7C15, modulo 2**64.
+        """
+        draws = len(items) - 1
+        if draws < 1:
+            return
+        states = np.arange(1, draws + 1, dtype=np.uint64) * _GAMMA + np.uint64(self._state)
+        self._state = (self._state + draws * _GAMMA) & _MASK64
+        js = (_mix(states) % np.arange(draws + 1, 1, -1, dtype=np.uint64)).tolist()
+        for i, j in zip(range(draws, 0, -1), js):
             items[i], items[j] = items[j], items[i]
 
 
@@ -339,13 +384,12 @@ def _split_indices(
         recs = members[label]
         if len(recs) < 2:
             raise DomainError(f"class {label!r} needs at least 2 records to split")
-        idx = list(range(len(recs)))
-        rng.shuffle(idx)
         k = int(round(spec.fraction * len(recs)))
         k = min(max(k, 1), len(recs) - 1)
-        chosen = frozenset(idx[:k])
-        train.extend(recs[i] for i in range(len(recs)) if i in chosen)
-        test.extend(recs[i] for i in range(len(recs)) if i not in chosen)
+        shuffled = recs[:]  # ascending, so sorting a fold restores input order
+        rng.shuffle(shuffled)
+        train.extend(sorted(shuffled[:k]))
+        test.extend(sorted(shuffled[k:]))
     return train, test
 
 

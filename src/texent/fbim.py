@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._pool import parallel_map
+from ._pool import check_threads, parallel_map
 from ._text import sig15
 from .errors import DomainError
 from .glcm import ANGLES, GrayImage, SpacingVector, _correlations, compute_glcm, glcm_entropy
@@ -65,8 +65,7 @@ def compute_fbim(
         raise DomainError(f"d_max must be an integer, got {d_max!r}")
     if d_max < 1:
         raise DomainError(f"d_max must be >= 1, got {d_max}")
-    if threads < 1:
-        raise DomainError(f"threads must be >= 1, got {threads}")
+    check_threads(threads)
     if isinstance(feature, EntropyMeasure):
         name = feature.kind
     elif isinstance(feature, str) and feature == CORRELATION:

@@ -10,6 +10,7 @@ measures and the correlation feature operate.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,6 +62,8 @@ class GrayImage:
             raise DomainError("pixels must form a non-empty 2-D array")
         if not np.issubdtype(arr.dtype, np.integer):
             raise DomainError(f"pixels must be integers, got dtype {arr.dtype}")
+        if not isinstance(levels, int) and isinstance(levels, numbers.Integral):
+            levels = int(levels)  # a NumPy integer, say
         if not isinstance(levels, int) or not 2 <= levels <= 256:
             raise DomainError(f"levels must be an integer in [2, 256], got {levels!r}")
         lo, hi = int(arr.min()), int(arr.max())
@@ -111,6 +114,8 @@ class SpacingVector:
     theta: int
 
     def __post_init__(self):
+        if not isinstance(self.d, int) and isinstance(self.d, numbers.Integral):
+            object.__setattr__(self, "d", int(self.d))  # a NumPy integer, say
         if not isinstance(self.d, int) or self.d < 1:
             raise DomainError(f"d must be an integer >= 1, got {self.d!r}")
         if self.theta not in ANGLES:

@@ -1,7 +1,10 @@
 """Unit tests for the nearest-neighbor and nearest-centroid classifiers."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from texent import (
     DomainError,
@@ -246,6 +249,64 @@ class TestRepeatedCrossValidate:
                                           _old_confusion(train_set, test_set, kind))
                     assert report.per_class_accuracy == want.per_class_accuracy
                     assert report.average_accuracy == want.average_accuracy
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), classes=st.integers(2, 4), per_class=st.integers(2, 14),
+           dim=st.integers(1, 3), decimals=st.sampled_from([0, 1, None]),
+           fraction=st.floats(0.1, 0.9), candidates=st.sampled_from([16, 1]),
+           rank_bytes=st.sampled_from([1 << 20, 8]), matrix_bytes=st.sampled_from([64 << 20, 0]))
+    def test_ranked_predictions_equal_per_fold_nearest(self, data, classes, per_class, dim,
+                                                       decimals, fraction, candidates,
+                                                       rank_bytes, matrix_bytes):
+        # n runs from 4 to 56 records, on both sides of the 16 ranked per record;
+        # rounded features tie often, and one candidate forces the fallback.
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        rng = np.random.default_rng(seed)
+        feats = rng.normal(size=(classes * per_class, dim)) * 2
+        if decimals is not None:
+            feats = feats.round(decimals)
+        fs = _set((f"c{i % classes}", f"t{i}", f) for i, f in enumerate(feats))
+        specs = [SplitSpec(seed=seed + k, fraction=fraction) for k in range(3)]
+        predicted, report = [], classifier._report
+
+        def spy(names, truth, p):
+            predicted.append(p)
+            return report(names, truth, p)
+
+        with mock.patch.multiple(classifier, _report=spy, _CANDIDATES=candidates,
+                                 _RANK_BYTES=rank_bytes, _MATRIX_BYTES=matrix_bytes):
+            repeated_cross_validate(fs, specs, "1nn")
+        names = fs.class_labels()
+        want = []
+        for spec in specs:
+            folds = split(fs, spec)
+            for train_set, test_set in (folds, folds[::-1]):
+                points = np.array([r.features for r in train_set])
+                codes = np.array([names.index(r.label) for r in train_set])
+                queries = np.array([r.features for r in test_set])
+                want.append(classifier._nearest(classifier._sq_distances(points, queries), codes))
+        assert len(predicted) == len(want)
+        for got, ref in zip(predicted, want):
+            assert np.array_equal(got, ref)
+
+    def test_fallback_resolves_ties_beyond_the_ranked_records(self):
+        # Every record at one point: each first candidate lies at the last
+        # ranked distance, so every test record falls back, and the smallest
+        # label wins although most tied records are unranked.
+        n = 3 * classifier._CANDIDATES
+        fs = _set((f"c{i % 3}", f"t{i}", [1.0, 2.0]) for i in range(n))
+        calls = []
+        nearest = classifier._nearest
+
+        def spy(d2, codes):
+            calls.append(len(d2))
+            return nearest(d2, codes)
+
+        with mock.patch.object(classifier, "_nearest", spy):
+            (pair,) = repeated_cross_validate(fs, [SplitSpec(seed=3)], "1nn")
+        assert sum(calls) == n
+        for r in pair:
+            assert r.confusion[:, 1:].sum() == 0
 
     def test_planted_ties_are_exercised(self):
         fs = _planted(0)

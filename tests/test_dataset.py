@@ -108,7 +108,8 @@ def _p2_bytes(draw):
     seps = [draw(head)] + [draw(body) for _ in tokens[1:]]
     if rarely():
         tokens[draw(st.integers(0, len(tokens) - 1))] = draw(st.sampled_from(
-            [b"0" * 4301, b"0" * 4300 + b"1", b"x", b"+1", b"1_0", b"\xff", b"\xa0"]))
+            [b"0" * 4301, b"0" * 4300 + b"1", b"x", b"+1", b"1_0", b"\xff", b"\xa0",
+             b"2x", b"1000", b"00301"]))
     if rarely() and len(seps) > 1:
         seps[draw(st.integers(1, len(seps) - 1))] = draw(st.sampled_from([b"", b"\x1c"]))
     out = b"P2" + b"".join(draw(head) + str(n).encode() for n in (width, height, maxval))
@@ -235,6 +236,10 @@ class TestPgmLoad:
     @example(b"P2\r2 2\r3\r0 1\r2 3\r")  # CR-only line ends
     @example(b"P2 2 1 3 0 1 2 x #\n")  # words after the last value
     @example(b"P2 2 1 9 " + b"0" * 4300 + b"1 2\n")  # a 4301-digit value
+    @example(b"P2 2 1 255 7 x")  # a last value that is no number
+    @example(b"P2 2 1 255 7 2x")  # a last value that ends in a non-digit
+    @example(b"P2 2 1 255 1002 7")  # a value above 999
+    @example(b"P2 2 1 255 000255 0" + b"0" * 4299)  # zero-padded values
     def test_p2_matches_token_loop(self, data):
         def load(data):
             img = load_pgm(data)
@@ -369,6 +374,19 @@ class TestSplitMix64:
         assert sorted(items) == list(range(20))
         assert items != list(range(20))
 
+    @pytest.mark.parametrize("seed", [0, -7, 2**70])
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 96, 1000])
+    def test_shuffle_draws_the_next_stream(self, seed, n):
+        # The per-draw Fisher-Yates loop, then one draw past it.
+        ref, items = SplitMix64(seed), list(range(n))
+        for i in range(n - 1, 0, -1):
+            j = ref.next() % (i + 1)
+            items[i], items[j] = items[j], items[i]
+        rng, shuffled = SplitMix64(seed), list(range(n))
+        rng.shuffle(shuffled)
+        assert shuffled == items
+        assert rng.next() == ref.next()
+
 
 class TestSplit:
     def test_half_split_15x16(self):
@@ -479,3 +497,9 @@ class TestLabeledCorpus:
         par = build_feature_sets(items, measures, distances, threads=2)
         for kind in measures:
             assert seq[kind].records == par[kind].records
+
+    @pytest.mark.parametrize("threads", [1.5, 2.0, "2", None])
+    def test_build_feature_sets_threads_not_an_integer(self, threads):
+        items = [("a", "t0", noise_image(8, 8, seed=1))]
+        with pytest.raises(DomainError, match="threads must be an integer"):
+            build_feature_sets(items, {"h": EntropyMeasure("shannon")}, 1, threads=threads)

@@ -74,6 +74,12 @@ class TestComputeFbim:
         with pytest.raises(DomainError, match=f"threads must be >= 1, got {threads}"):
             compute_fbim(noise_image(8, 8, seed=2), feature, d_max=3, threads=threads)
 
+    @pytest.mark.parametrize("threads", [1.5, "2", None])
+    @pytest.mark.parametrize("feature", [CORRELATION, HN], ids=["correlation", "entropy"])
+    def test_threads_not_an_integer(self, feature, threads):
+        with pytest.raises(DomainError, match="threads must be an integer"):
+            compute_fbim(noise_image(8, 8, seed=2), feature, d_max=3, threads=threads)
+
     def test_constant_image_correlation_all_missing(self):
         img = GrayImage(np.full((20, 20), 9, dtype=np.int64), levels=16)
         f = compute_fbim(img, CORRELATION, d_max=4)

@@ -46,6 +46,11 @@ class TestGrayImage:
         with pytest.raises(DomainError, match=r"levels must be an integer in \[2, 256\]"):
             GrayImage([[0, 1]], levels=levels)
 
+    @pytest.mark.parametrize("levels", [np.int64(16), np.uint8(16), 16])
+    def test_integer_levels_stored_as_int(self, levels):
+        img = GrayImage([[0, 15]], levels=levels)
+        assert img.levels == 16 and type(img.levels) is int
+
     def test_rejects_empty_or_1d(self):
         with pytest.raises(DomainError):
             GrayImage([1, 2, 3], levels=4)
@@ -99,6 +104,13 @@ class TestOffsets:
             SpacingVector(0, 0)
         with pytest.raises(DomainError):
             SpacingVector(1, 30)
+        with pytest.raises(DomainError, match="d must be an integer >= 1"):
+            SpacingVector(2.0, 0)
+
+    def test_integer_spacing_stored_as_int(self):
+        s = SpacingVector(np.int64(2), 45)
+        assert s == SpacingVector(2, 45) and hash(s) == hash(SpacingVector(2, 45))
+        assert type(s.d) is int
 
 
 class TestComputeGlcm:
