@@ -35,7 +35,9 @@ def _add_common(p, *, threads=False):
     p.add_argument("--symmetric", action="store_true",
                    help="count each pixel pair in both directions")
     if threads:
-        p.add_argument("--threads", type=int, default=1, help="worker threads (default 1)")
+        p.add_argument("--threads", type=int, default=1,
+                       help="must be >= 1; has no effect, every job runs on one thread "
+                            "(default 1)")
 
 
 def _add_orders(p):

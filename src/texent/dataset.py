@@ -24,10 +24,9 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from ._pool import parallel_map
 from ._text import sig15
 from .errors import DomainError, PgmError
-from .glcm import GrayImage, SpacingVector, compute_glcm, glcp
+from .glcm import GrayImage, SpacingVector, check_threads, compute_glcm, glcp
 from .measures import EntropyMeasure, apply_measure
 
 __all__ = [
@@ -321,12 +320,20 @@ class SplitSpec:
     fraction: float = 0.5
 
     def __post_init__(self):
+        object.__setattr__(self, "seed", _seed_int(self.seed))
         if not 0.0 < self.fraction < 1.0:
             raise DomainError(f"fraction must lie in (0, 1), got {self.fraction!r}")
 
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
+
+
+def _seed_int(seed) -> int:
+    # A NumPy integer becomes an int, so that masking it cannot overflow.
+    if not isinstance(seed, numbers.Integral):
+        raise DomainError(f"seed must be an integer, got {seed!r}")
+    return int(seed)
 
 
 def _mix(z):
@@ -348,7 +355,7 @@ class SplitMix64:
     __slots__ = ("_state",)
 
     def __init__(self, seed: int):
-        self._state = seed & _MASK64
+        self._state = _seed_int(seed) & _MASK64
 
     def next(self) -> int:
         self._state = (self._state + _GAMMA) & _MASK64
@@ -427,9 +434,17 @@ def read_feature_csv(path) -> LabeledFeatureSet:
         header = next(reader, None)
         if not header or header[:2] != ["label", "tile"]:
             raise DomainError(f"{path}: not a feature table (header {header!r})")
-        rows = [
-            (row[0], row[1], [float(x) for x in row[2:]]) for row in reader if row
-        ]
+        rows = []
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise DomainError(f"{path}: line {reader.line_num}: {len(row)} fields, "
+                                  f"header has {len(header)}")
+            try:
+                rows.append((row[0], row[1], [float(x) for x in row[2:]]))
+            except ValueError as exc:
+                raise DomainError(f"{path}: line {reader.line_num}: {exc}") from None
     return LabeledFeatureSet(rows)
 
 
@@ -452,7 +467,7 @@ def load_labeled_images(root) -> list[tuple[str, str, GrayImage]]:
 
 
 def build_feature_sets(
-    items: Sequence[tuple[str, str, GrayImage]],
+    items: Iterable[tuple[str, str, GrayImage]],
     measures: dict[str, EntropyMeasure],
     distances: "int | Sequence[int]" = 31,
     symmetric: bool = False,
@@ -460,13 +475,13 @@ def build_feature_sets(
 ) -> dict[str, LabeledFeatureSet]:
     """Extract features for several measures in one pass over the tiles.
 
-    Tiles are independent and may be processed by several threads; results
-    are assembled in tile order, so the output does not depend on the
-    worker count.
+    Tiles are processed in order on the calling thread.  ``threads`` must be
+    an integer >= 1 and has no other effect.
     """
     ds = _distance_list(distances)
-    per_tile = parallel_map(lambda item: _extract_multi(item[2], measures, ds, symmetric),
-                            items, threads)
+    check_threads(threads)
+    items = list(items)  # read twice: once for features, once for labels
+    per_tile = [_extract_multi(img, measures, ds, symmetric) for _, _, img in items]
 
     out = {}
     for key in measures:
@@ -478,7 +493,7 @@ def build_feature_sets(
 
 
 def build_feature_set(
-    items: Sequence[tuple[str, str, GrayImage]],
+    items: Iterable[tuple[str, str, GrayImage]],
     measure: EntropyMeasure,
     distances: "int | Sequence[int]" = 31,
     symmetric: bool = False,

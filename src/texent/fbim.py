@@ -13,10 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._pool import check_threads, parallel_map
 from ._text import sig15
 from .errors import DomainError
-from .glcm import ANGLES, GrayImage, SpacingVector, _correlations, compute_glcm, glcm_entropy
+from .glcm import (ANGLES, GrayImage, SpacingVector, _correlations, check_threads,
+                   compute_glcm, glcm_entropy)
 from .measures import EntropyMeasure
 
 __all__ = ["CORRELATION", "Fbim", "compute_fbim", "fbim_to_image", "fbim_to_csv"]
@@ -57,9 +57,9 @@ def compute_fbim(
     ``feature`` is an :class:`EntropyMeasure` or the string ``"correlation"``.
     Cells where the feature is undefined are flagged NaN rather than zeroed.
     The rows of angles 180..315 are copies of those of 0..135, which they
-    equal exactly.  A correlation map is made from the whole image at once;
-    the cells of an entropy map are evaluated on ``threads`` threads.  The
-    grid is the same at every thread count.
+    equal exactly.  A correlation map is made from the whole image at once,
+    an entropy map cell by cell, both on the calling thread.  ``threads``
+    must be an integer >= 1 and has no other effect.
     """
     if not isinstance(d_max, numbers.Integral):
         raise DomainError(f"d_max must be an integer, got {d_max!r}")
@@ -89,8 +89,7 @@ def compute_fbim(
     if name == CORRELATION:
         cells = _correlations(img, spacings, symmetric)
     else:
-        cells = parallel_map(lambda s: _cell_feature(img, feature, s, symmetric),
-                             spacings, threads)
+        cells = [_cell_feature(img, feature, s, symmetric) for s in spacings]
     values = np.array(cells, dtype=np.float64).reshape(half, d_max)
     values = np.concatenate((values, values))
     values.setflags(write=False)

@@ -440,3 +440,11 @@ def glcm_entropy(g: Glcm, measure: EntropyMeasure) -> float:
     included, as its n.
     """
     return apply_measure(measure, glcp(g))
+
+
+def check_threads(threads) -> None:
+    """Raise :class:`DomainError` unless ``threads`` is an integer >= 1."""
+    if not isinstance(threads, numbers.Integral):
+        raise DomainError(f"threads must be an integer, got {threads!r}")
+    if threads < 1:
+        raise DomainError(f"threads must be >= 1, got {threads}")

@@ -15,7 +15,7 @@ exponential-gain (Pal-Pal) entropies are provided for comparison; logarithmic
 measures use natural logarithms so all five live on an e-based scale.
 
 All operations are pure functions of immutable inputs and are safe to call
-concurrently.
+from several threads at once.
 """
 
 from __future__ import annotations

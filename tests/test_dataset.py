@@ -387,6 +387,14 @@ class TestSplitMix64:
         assert shuffled == items
         assert rng.next() == ref.next()
 
+    @pytest.mark.parametrize("seed", [np.int64(-7), np.uint64(2**64 - 1)])
+    def test_numpy_seed_draws_as_the_equal_int(self, seed):
+        assert SplitMix64(seed).next() == SplitMix64(int(seed)).next()
+
+    def test_non_integer_seed_rejected(self):
+        with pytest.raises(DomainError, match="^seed must be an integer, got 1.5$"):
+            SplitMix64(1.5)
+
 
 class TestSplit:
     def test_half_split_15x16(self):
@@ -438,6 +446,19 @@ class TestSplit:
         with pytest.raises(DomainError):
             SplitSpec(seed=1, fraction=1.0)
 
+    @pytest.mark.parametrize("seed", [np.int64(3), np.int8(-7), np.uint64(2**63 + 3)])
+    def test_numpy_seed_splits_as_the_equal_int(self, seed):
+        fs = _toy_set(classes=4, per_class=10)
+        spec = SplitSpec(seed=seed)
+        assert type(spec.seed) is int
+        a, b = split(fs, spec), split(fs, SplitSpec(seed=int(seed)))
+        assert a[0].records == b[0].records and a[1].records == b[1].records
+
+    @pytest.mark.parametrize("seed", [1.5, 3.0, "3", None])
+    def test_non_integer_seed_rejected(self, seed):
+        with pytest.raises(DomainError, match="^seed must be an integer, got "):
+            SplitSpec(seed=seed)
+
 
 class TestFeatureCsv:
     def test_round_trip(self, tmp_path):
@@ -462,6 +483,20 @@ class TestFeatureCsv:
         path.write_text("x,y\n1,2\n")
         with pytest.raises(DomainError):
             read_feature_csv(path)
+
+    @pytest.mark.parametrize("row, message", [
+        ("a", "1 fields, header has 3"),
+        ("a,t1", "2 fields, header has 3"),
+        ("a,t1,1,2", "4 fields, header has 3"),
+        ("a,t1,abc", "could not convert string to float: 'abc'"),
+        ("a,t1,", "could not convert string to float: ''"),
+    ])
+    def test_rejects_malformed_row(self, tmp_path, row, message):
+        path = tmp_path / "features.csv"
+        path.write_text(f"label,tile,f1\na,t0,0.5\n\n{row}\n")
+        with pytest.raises(DomainError) as info:
+            read_feature_csv(path)
+        assert str(info.value) == f"{path}: line 4: {message}"
 
 
 class TestLabeledCorpus:
@@ -498,8 +533,15 @@ class TestLabeledCorpus:
         for kind in measures:
             assert seq[kind].records == par[kind].records
 
-    @pytest.mark.parametrize("threads", [1.5, 2.0, "2", None])
-    def test_build_feature_sets_threads_not_an_integer(self, threads):
+    @pytest.mark.parametrize("threads, message", [
+        (1.5, "threads must be an integer"),
+        (2.0, "threads must be an integer"),
+        ("2", "threads must be an integer"),
+        (None, "threads must be an integer"),
+        (0, "threads must be >= 1, got 0"),
+        (-5, "threads must be >= 1, got -5"),
+    ])
+    def test_build_feature_sets_threads_rejected(self, threads, message):
         items = [("a", "t0", noise_image(8, 8, seed=1))]
-        with pytest.raises(DomainError, match="threads must be an integer"):
+        with pytest.raises(DomainError, match=message):
             build_feature_sets(items, {"h": EntropyMeasure("shannon")}, 1, threads=threads)

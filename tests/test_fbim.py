@@ -252,16 +252,22 @@ class TestCorrelationFromAutocorrelation:
             assert abs(auto[dy % shape[0], dx % shape[1]] - int((a * b).sum())) <= bound
 
     def test_importing_the_cli_leaves_numpy_fft_unloaded(self):
-        # numpy.fft is imported on the first correlation map, not at startup.
+        # numpy.fft is imported on the first correlation map, not at startup,
+        # and no thread pool is ever loaded.
         code = ("import sys, texent.cli\n"
-                "print('numpy.fft' in sys.modules)\n"
-                "texent.compute_fbim(texent.GrayImage([[0, 1], [1, 0]], 2), 'correlation', 1)\n"
-                "print('numpy.fft' in sys.modules)\n")
+                "print('numpy.fft' in sys.modules, 'concurrent.futures' in sys.modules)\n"
+                "img = texent.GrayImage([[0, 1], [1, 0]], 2)\n"
+                "texent.compute_fbim(img, 'correlation', 1)\n"
+                "print('numpy.fft' in sys.modules, 'concurrent.futures' in sys.modules)\n"
+                "texent.compute_fbim(img, texent.EntropyMeasure('proposed'), 1, threads=2)\n"
+                "texent.build_feature_sets([('a', 't', img)], "
+                "{'h': texent.EntropyMeasure('shannon')}, 1, threads=2)\n"
+                "print('concurrent.futures' in sys.modules)\n")
         src = Path(texent.__file__).resolve().parents[1]
         env = {**os.environ, "PYTHONPATH": str(src)}
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, check=True).stdout
-        assert out.split() == ["False", "True"]
+        assert out.split() == ["False", "False", "True", "False", "False"]
 
 
 class TestFbimToImage:

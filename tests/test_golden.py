@@ -4,10 +4,11 @@ The inputs are closed-form integer tiles written as raw P5 bytes, with no
 random number generator and no package code involved, so neither a change to
 numpy's streams nor one to the package's own PGM writer can move them.  Each
 case runs ``texent.cli.run`` and hashes its stdout together with every file
-it writes.  Cases that take ``--threads`` run with 1 and with 2 threads, which
-must give the same bytes.  The 30 calls cover ``entropy`` (also on a
-hand-written ASCII P2 image), ``glcm``, ``fbim`` for three features, and
-``classify``/``compare`` in split, ``--trials``, ``--test`` and centroid modes.
+it writes.  Cases that take ``--threads`` run with 1 and with 2, which must
+give the same bytes; the flag is checked but every job runs on one thread.
+The 30 calls cover ``entropy`` (also on a hand-written ASCII P2 image),
+``glcm``, ``fbim`` for three features, and ``classify``/``compare`` in split,
+``--trials``, ``--test`` and centroid modes.
 
 The digests were recorded with Python 3.11 and numpy 2.4.6.  A change that
 moves an output byte on purpose updates the digest here and says why.
