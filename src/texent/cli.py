@@ -13,7 +13,7 @@ from pathlib import Path
 
 from . import classifier, dataset, fbim, glcm, measures
 from ._text import sig15
-from .errors import DomainError, PgmError
+from .errors import DomainError, EmptyGlcmError, PgmError
 
 _COMPARE_MEASURES = tuple(kind for kind in measures.MEASURE_KINDS
                           if kind != measures.PROPOSED_NORMALIZED)
@@ -59,17 +59,29 @@ def _add_distances(p):
 
 
 def build_parser() -> _Parser:
+    """The parser of every command."""
+    return _parser(_COMMANDS)
+
+
+def _parser(names) -> _Parser:
+    """The top-level parser with the subparsers of ``names`` only."""
     parser = _Parser(prog="texent",
                      description="Texture analysis with a Gaussian-gain entropy.")
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
+    for name in names:
+        help_text, add_arguments = _COMMANDS[name]
+        add_arguments(sub.add_parser(name, help=help_text))
+    return parser
 
-    p = sub.add_parser("tile", help="split an image into square tiles")
+
+def _tile_args(p):
     p.add_argument("image", help="input PGM")
     p.add_argument("--size", type=int, required=True, help="tile side in pixels")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=_cmd_tile)
 
-    p = sub.add_parser("glcm", help="write a co-occurrence count matrix as CSV")
+
+def _glcm_args(p):
     p.add_argument("image", help="input PGM")
     p.add_argument("--dist", type=int, default=31, help="spacing magnitude (default 31)")
     p.add_argument("--angle", type=int, choices=list(glcm.ANGLES), default=0,
@@ -78,14 +90,16 @@ def build_parser() -> _Parser:
     p.add_argument("--out", default=None, help="output CSV (default: stdout)")
     p.set_defaults(func=_cmd_glcm)
 
-    p = sub.add_parser("entropy", help="print per-image entropy feature values")
+
+def _entropy_args(p):
     p.add_argument("image", help="input PGM")
     _add_measure(p)
     _add_distances(p)
     _add_common(p)
     p.set_defaults(func=_cmd_entropy)
 
-    p = sub.add_parser("fbim", help="write a polar interaction map as PGM and CSV")
+
+def _fbim_args(p):
     p.add_argument("image", help="input PGM")
     p.add_argument("--feature", default="proposed",
                    choices=[*measures.MEASURE_KINDS, fbim.CORRELATION],
@@ -98,19 +112,19 @@ def build_parser() -> _Parser:
     _add_common(p, threads=True)
     p.set_defaults(func=_cmd_fbim)
 
-    p = sub.add_parser("classify", help="train and evaluate a texture classifier")
+
+def _classify_args(p):
     _add_classify_args(p)
     _add_measure(p)
     p.add_argument("--report", required=True, help="output report CSV")
     p.set_defaults(func=_cmd_classify)
 
-    p = sub.add_parser("compare", help="run classify for every entropy measure")
+
+def _compare_args(p):
     _add_classify_args(p)
     _add_orders(p)
     p.add_argument("--report", required=True, help="output combined report CSV")
     p.set_defaults(func=_cmd_compare)
-
-    return parser
 
 
 def _add_classify_args(p):
@@ -174,10 +188,14 @@ def _cmd_tile(args) -> int:
 
 def _cmd_glcm(args) -> int:
     img = _quantized(dataset.read_pgm(args.image), args.levels)
-    g = glcm.compute_glcm(
-        img, glcm.SpacingVector(d=args.dist, theta=args.angle), args.symmetric
-    )
-    text = "\n".join(",".join(str(int(v)) for v in row) for row in g.counts) + "\n"
+    try:
+        g = glcm.compute_glcm(
+            img, glcm.SpacingVector(d=args.dist, theta=args.angle), args.symmetric
+        )
+    except EmptyGlcmError:
+        raise DomainError(f"--dist must leave a pixel pair along --angle {args.angle} "
+                          f"in the {img.width}x{img.height} image, got {args.dist}") from None
+    text = "\n".join(",".join(map(str, row)) for row in g.counts.tolist()) + "\n"
     if args.out:
         Path(args.out).write_text(text)
     else:
@@ -288,9 +306,22 @@ def _cmd_compare(args) -> int:
     return 0
 
 
+#: Each command's help line and the function adding its arguments, in usage order.
+_COMMANDS = {
+    "tile": ("split an image into square tiles", _tile_args),
+    "glcm": ("write a co-occurrence count matrix as CSV", _glcm_args),
+    "entropy": ("print per-image entropy feature values", _entropy_args),
+    "fbim": ("write a polar interaction map as PGM and CSV", _fbim_args),
+    "classify": ("train and evaluate a texture classifier", _classify_args),
+    "compare": ("run classify for every entropy measure", _compare_args),
+}
+
+
 def run(argv) -> int:
     """Parse and execute one invocation; returns the exit status."""
-    parser = build_parser()
+    # A named command needs only its own subparser.  Help, usage and the
+    # unknown-command error list every command, so they get the full parser.
+    parser = _parser([argv[0]] if argv and argv[0] in _COMMANDS else _COMMANDS)
     try:
         args = parser.parse_args(argv)
         if not hasattr(args, "func"):

@@ -8,6 +8,7 @@ ridges of extreme feature values line up with the texture period.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -123,8 +124,6 @@ def fbim_to_csv(f: Fbim) -> str:
     Cell values carry 15 significant digits; missing cells are empty fields.
     """
     lines = [",".join(str(d) for d in range(1, f.d_max + 1))]
-    for row in f.values:
-        lines.append(
-            ",".join("" if not np.isfinite(v) else sig15(v) for v in row)
-        )
+    for row in f.values.tolist():
+        lines.append(",".join(sig15(v) if math.isfinite(v) else "" for v in row))
     return "\n".join(lines) + "\n"

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import argparse
 import os
 
 import numpy as np
@@ -17,6 +18,14 @@ def const_image(tmp_path):
     path = tmp_path / "const.pgm"
     write_pgm(path, GrayImage(np.full((64, 64), 9, dtype=np.int64), levels=256))
     return path
+
+
+@pytest.fixture
+def small_images(tmp_path):
+    """A 20x20 and a 40x20 noise image, as ``square.pgm`` and ``wide.pgm`` in tmp_path."""
+    write_pgm(tmp_path / "square.pgm", noise_image(20, 20, seed=3, levels=8))
+    write_pgm(tmp_path / "wide.pgm", noise_image(40, 20, seed=4, levels=8))
+    return tmp_path
 
 
 @pytest.fixture
@@ -110,15 +119,57 @@ class TestExitCodes:
          "{image}: not a directory"),
         (["tile", "{image}", "--size", "0", "--out", "{tmp}/tiles"],
          "--size must be >= 1, got 0"),
+        (["glcm", "{tmp}/square.pgm", "--dist", "25"],
+         "--dist must leave a pixel pair along --angle 0 in the 20x20 image, got 25"),
+        (["glcm", "{tmp}/wide.pgm", "--dist", "30", "--angle", "90"],
+         "--dist must leave a pixel pair along --angle 90 in the 40x20 image, got 30"),
     ])
-    def test_bad_flag_is_one_line_error(self, argv, message, const_image, corpus, tmp_path,
-                                        capsys):
+    def test_bad_flag_is_one_line_error(self, argv, message, const_image, corpus, small_images,
+                                        tmp_path, capsys):
         def fill(text):
             return text.format(image=const_image, corpus=corpus, tmp=tmp_path)
 
         assert run([fill(a) for a in argv]) == 1
         out, err = capsys.readouterr()
         assert out == "" and err == f"error: {fill(message)}\n"
+
+
+class TestOneSubparserPerCall:
+    ALL = ["tile", "glcm", "entropy", "fbim", "classify", "compare"]
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """The names of the subparsers built, in order."""
+        names = []
+        add_parser = argparse._SubParsersAction.add_parser
+
+        def spy(action, name, **kwargs):
+            names.append(name)
+            return add_parser(action, name, **kwargs)
+
+        monkeypatch.setattr(argparse._SubParsersAction, "add_parser", spy)
+        return names
+
+    def test_fbim_builds_its_own_only(self, built, const_image, tmp_path):
+        assert run(["fbim", str(const_image), "--dmax", "2",
+                    "--out", str(tmp_path / "m.pgm")]) == 0
+        assert built == ["fbim"]
+
+    def test_classify_builds_its_own_only(self, built, corpus, tmp_path, capsys):
+        assert run(["classify", "--train", str(corpus), "--dist", "1",
+                    "--report", str(tmp_path / "r.csv")]) == 0
+        assert built == ["classify"]
+
+    @pytest.mark.parametrize("argv, status", [
+        (["--help"], 0), (["bogus"], 1), ([], 1), (["-h", "fbim"], 0),
+    ])
+    def test_help_and_unknown_command_build_all(self, built, argv, status, capsys):
+        assert run(argv) == status
+        assert built == self.ALL
+
+    def test_build_parser_builds_all(self, built):
+        build_parser()
+        assert built == self.ALL
 
 
 class TestEntropyCommand:
@@ -201,6 +252,14 @@ class TestGlcmCommand:
         out = tmp_path / "glcm.csv"
         assert run(["glcm", str(const_image), "--dist", "1", "--out", str(out)]) == 0
         assert out.exists()
+
+    def test_distance_bounded_along_its_angle_only(self, small_images, capsys):
+        # 30 is not below the 20-pixel height, but angle 0 pairs along the 40-pixel width.
+        wide = small_images / "wide.pgm"
+        assert run(["glcm", str(wide), "--dist", "30", "--angle", "0"]) == 0
+        got = [[int(v) for v in line.split(",")]
+               for line in capsys.readouterr().out.strip().split("\n")]
+        assert np.array_equal(got, compute_glcm(read_pgm(wide), SpacingVector(30, 0)).counts)
 
 
 class TestFbimCommand:

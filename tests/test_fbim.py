@@ -30,6 +30,7 @@ from texent import (
     fbim_to_image,
     offset_of,
 )
+from texent._text import sig15
 from texent.errors import DegenerateVarianceError
 from texent.glcm import _autocorrelation, _autocorrelation_error_bound, _correlations
 
@@ -318,3 +319,49 @@ class TestFbimToCsv:
         row = text.strip().split("\n")[3]
         assert row.startswith(",")
         assert "nan" not in text.lower()
+
+
+def _numpy_scalar_csv(f):
+    """The formatter fbim_to_csv replaced: NumPy scalars tested with np.isfinite."""
+    lines = [",".join(str(d) for d in range(1, f.d_max + 1))]
+    for row in f.values:
+        lines.append(",".join("" if not np.isfinite(v) else sig15(v) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def _signed(magnitudes):
+    return st.builds(lambda m, negative: -m if negative else m, magnitudes, st.booleans())
+
+
+# Values whose rounding to 15 significant digits carries into a new leading digit.
+_CARRIES = st.integers(-307, 300).map(lambda e: float(f"9.9999999999999995e{e}"))
+
+_CELLS = st.one_of(
+    st.floats(),  # NaN and the infinities included
+    st.sampled_from([np.nan, 0.0, -0.0, 5e-324, 2.2250738585072014e-308,
+                     2.2250738585072009e-308, 1.7976931348623157e308, np.inf, -np.inf]),
+    _signed(st.floats(5e-324, 2.2250738585072009e-308)),  # subnormals
+    _signed(st.floats(1e295, 1e305)),
+    _signed(st.floats(1e-305, 1e-295)),
+    _signed(_CARRIES),
+    _signed(st.floats(0.5, 1.5)),
+)
+
+
+@st.composite
+def _maps(draw):
+    d_max = draw(st.integers(1, 9))
+    values = np.array(draw(st.lists(_CELLS, min_size=8 * d_max, max_size=8 * d_max)),
+                      dtype=np.float64).reshape(8, d_max)
+    for r in draw(st.sets(st.integers(0, 7), max_size=8)):
+        values[r] = np.nan
+    return _map(values)
+
+
+class TestFbimToCsvBytes:
+    @settings(deadline=None)
+    @given(_maps())
+    @example(_map(np.full((8, 3), np.nan)))
+    @example(_map(np.array([[9.9999999999999995, 0.99999999999999995, -0.0]] * 8)))
+    def test_same_bytes_as_numpy_scalar_formatting(self, f):
+        assert fbim_to_csv(f) == _numpy_scalar_csv(f)

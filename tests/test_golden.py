@@ -8,7 +8,11 @@ it writes.  Cases that take ``--threads`` run with 1 and with 2, which must
 give the same bytes; the flag is checked but every job runs on one thread.
 The 30 calls cover ``entropy`` (also on a hand-written ASCII P2 image),
 ``glcm``, ``fbim`` for three features, and ``classify``/``compare`` in split,
-``--trials``, ``--test`` and centroid modes.
+``--trials``, ``--test`` and centroid modes.  Twelve more calls pin the
+usage, help and usage-error text with the exit status: no command,
+``--help``, each command's ``--help``, an unknown command, a missing
+required flag, a flag of the wrong type and an unknown flag.  Help is wrapped
+to the terminal width, so those calls run with ``COLUMNS=80``.
 
 The digests were recorded with Python 3.11 and numpy 2.4.6.  A change that
 moves an output byte on purpose updates the digest here and says why.
@@ -164,3 +168,43 @@ def test_golden_output(inputs, tmp_path, capsys, name):
     else:
         one = _digest(inputs, tmp_path / "out", name, None, capsys)
     assert one == GOLDEN[name]
+
+
+COMMANDS = ("tile", "glcm", "entropy", "fbim", "classify", "compare")
+
+# name -> argv of a call that ends in usage, help or a usage error ({image}, {tmp})
+USAGE_CASES = {
+    "usage-none": [],
+    "usage-help": ["--help"],
+    **{f"usage-{command}-help": [command, "--help"] for command in COMMANDS},
+    "usage-bogus": ["bogus"],
+    "usage-fbim-no-out": ["fbim", "{image}"],
+    "usage-fbim-threads-x": ["fbim", "{image}", "--out", "{tmp}/o.pgm", "--threads", "x"],
+    "usage-classify-bogus": ["classify", "--bogus"],
+}
+
+USAGE_GOLDEN = {
+    "usage-bogus": "5b65ec8e149f8ec50dc15f6564a4d8b6cfa42bf055587cd69a4921850a340e1d",
+    "usage-classify-bogus": "a07b81340b66c7566788d568875ce6e646f785c331d773da2f7e771d39149f66",
+    "usage-classify-help": "ef52d6bf912333ba72f17596a60e8d66d15af6d1a0c35cba425e291ec7087f48",
+    "usage-compare-help": "612df38a1f6e8ab9d3c731f92c39b71b614df5dea0abc233f911a0e0754ffee1",
+    "usage-entropy-help": "c5f6d4d0c3094ae0cc09617b8ca921d80fa5ce064473d0377cadb3c9e28c4afa",
+    "usage-fbim-help": "d60b9ed1a38e05bb3addc22f212afac1f93a5348587ca98e7eecf3e672f03f87",
+    "usage-fbim-no-out": "7f1e7b74b899422ea37209d572d8cc6fb38778dfc08021ab3c65b77c222289d2",
+    "usage-fbim-threads-x": "0978572e0e31c1621714fb1b528672abcbf184e3018324f0e29ebe9ad2862a17",
+    "usage-glcm-help": "00f323f1add6ffc211c7baa22d52da600f5b4b289287b8eab90bb4e84765323a",
+    "usage-help": "cdceb247fea887b27c3dc8bc044f38bb03c202e4993a20ba344599c0993e3498",
+    "usage-none": "b965d6cbdd331824bd24e0d18a73c5f587b6258d1996847eec9789a046047abb",
+    "usage-tile-help": "22885dcf45351874767032cf3f7babfe263f426039de571cd085b711b2a483f7",
+}
+
+
+@pytest.mark.parametrize("name", sorted(USAGE_CASES))
+def test_usage_output(inputs, tmp_path, capsys, monkeypatch, name):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help text to the terminal width
+    argv = [a.format(image=inputs / "image.pgm", tmp=tmp_path) for a in USAGE_CASES[name]]
+    capsys.readouterr()
+    status = run(argv)
+    out, err = capsys.readouterr()
+    digest = hashlib.sha256(f"{status}\0{out}\0{err}".encode("utf-8")).hexdigest()
+    assert digest == USAGE_GOLDEN[name]
