@@ -8,7 +8,7 @@ from typing import Sequence
 import numpy as np
 
 from ._text import sig15
-from .dataset import LabeledFeatureSet, SplitSpec, _split_indices
+from .dataset import LabeledFeatureSet, SplitSpec, _class_members, _split_indices
 from .errors import DomainError
 
 __all__ = [
@@ -216,13 +216,14 @@ def repeated_cross_validate(
 ) -> list[tuple[EvalReport, EvalReport]]:
     """:func:`cross_validate` for each split spec, in order.
 
-    The folds, points and label codes are built once.  1-NN computes the
-    squared distance between every two records once, in chunks of query rows
-    of at most 64 MiB, and ranks each record's 16 nearest records by
-    (distance, label).  A test record takes the label of its first ranked
-    record in the train fold; when there is none, or that record lies at the
-    last ranked distance, where an unranked record may tie with it, the
-    record is resolved against the whole train fold.  Nearest-centroid
+    The records are grouped by class, and the folds, points and label codes
+    built, once per call.  1-NN computes the squared distance between every
+    two records once, in chunks of query rows of at most 64 MiB, and ranks
+    each record's 16 nearest records by (distance, label).  A test record
+    takes the label of its first ranked record in the train fold; when there
+    is none, or that record lies at the last ranked distance, where an
+    unranked record may tie with it, the record is resolved against the
+    whole train fold.  Nearest-centroid
     predicts each fold against its train fold's class means.  The distances
     have the bits :func:`classify` gives them, so the reports equal those of
     :func:`two_way` on :func:`split`'s folds.
@@ -232,9 +233,10 @@ def repeated_cross_validate(
     names = full_set.class_labels()
     codes = _codes([r.label for r in records], names)
     points = _points(records)
+    members = _class_members(full_set)
     folds = []  # (train, test) record indices, both directions of each split
     for spec in specs:
-        a, b = (np.array(f, dtype=np.intp) for f in _split_indices(full_set, spec))
+        a, b = (np.array(f, dtype=np.intp) for f in _split_indices(members, spec))
         folds += [(a, b), (b, a)]
     if kind == NEAREST_CENTROID:  # every class is in both folds of a split
         predicted = [_predict(_class_means(points[a], codes[a], len(names)),

@@ -203,6 +203,9 @@ def tile(img: GrayImage, size: int) -> list[GrayImage]:
 
     Both image dimensions must be divisible by ``size``.
     """
+    if not isinstance(size, numbers.Integral):
+        raise DomainError(f"tile size must be an integer, got {size!r}")
+    size = int(size)
     if size < 1:
         raise DomainError(f"tile size must be >= 1, got {size}")
     if img.width % size or img.height % size:
@@ -224,19 +227,22 @@ def _distance_list(distances) -> list[int]:
     return [int(d) for d in ds]
 
 
+def _feature_spacings(distances: Sequence[int]) -> list[list[SpacingVector]]:
+    # The spacing vectors of each distance, one per feature angle.
+    return [[SpacingVector(d, theta) for theta in FEATURE_ANGLES] for d in distances]
+
+
 def _extract_multi(
     img: GrayImage,
     measures: dict[str, EntropyMeasure],
-    distances: Sequence[int],
+    spacings: Sequence[Sequence[SpacingVector]],
     symmetric: bool,
 ) -> dict[str, list[float]]:
-    # One GLCP per (distance, angle), shared across every measure.
+    # One GLCP per spacing vector, shared across every measure; each row of
+    # ``spacings`` gives one feature, the mean over its vectors.
     out: dict[str, list[float]] = {key: [] for key in measures}
-    for d in distances:
-        dists = [
-            glcp(compute_glcm(img, SpacingVector(d=d, theta=theta), symmetric))
-            for theta in FEATURE_ANGLES
-        ]
+    for row in spacings:
+        dists = [glcp(compute_glcm(img, s, symmetric)) for s in row]
         for key, measure in measures.items():
             vals = [apply_measure(measure, p) for p in dists]
             out[key].append(sum(vals) / len(vals))
@@ -254,8 +260,8 @@ def extract_feature(
     Each element is the mean co-occurrence entropy over the four angles
     0/45/90/135 at that distance.
     """
-    ds = _distance_list(distances)
-    return _extract_multi(img, {"": measure}, ds, symmetric)[""]
+    spacings = _feature_spacings(_distance_list(distances))
+    return _extract_multi(img, {"": measure}, spacings, symmetric)[""]
 
 
 class Record(NamedTuple):
@@ -321,7 +327,7 @@ class SplitSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "seed", _seed_int(self.seed))
-        if not 0.0 < self.fraction < 1.0:
+        if not isinstance(self.fraction, numbers.Real) or not 0.0 < self.fraction < 1.0:
             raise DomainError(f"fraction must lie in (0, 1), got {self.fraction!r}")
 
 
@@ -377,18 +383,23 @@ class SplitMix64:
             items[i], items[j] = items[j], items[i]
 
 
-def _split_indices(
-    feature_set: LabeledFeatureSet, spec: SplitSpec
-) -> tuple[list[int], list[int]]:
-    # Record indices of the (train, test) folds of :func:`split`, in its order.
-    rng = SplitMix64(spec.seed)
+def _class_members(feature_set: LabeledFeatureSet) -> dict[str, list[int]]:
+    # Record indices per label, labels ascending, each list ascending.
     members: dict[str, list[int]] = {}
     for i, r in enumerate(feature_set.records):
         members.setdefault(r.label, []).append(i)
+    return {label: members[label] for label in sorted(members)}
+
+
+def _split_indices(
+    members: dict[str, list[int]], spec: SplitSpec
+) -> tuple[list[int], list[int]]:
+    # Record indices of the (train, test) folds of :func:`split`, in its order,
+    # from the :func:`_class_members` of the feature set.
+    rng = SplitMix64(spec.seed)
     train: list[int] = []
     test: list[int] = []
-    for label in sorted(members):
-        recs = members[label]
+    for label, recs in members.items():
         if len(recs) < 2:
             raise DomainError(f"class {label!r} needs at least 2 records to split")
         k = int(round(spec.fraction * len(recs)))
@@ -413,7 +424,7 @@ def split(
     """
     records = feature_set.records
     return tuple(LabeledFeatureSet(records[i] for i in fold)
-                 for fold in _split_indices(feature_set, spec))
+                 for fold in _split_indices(_class_members(feature_set), spec))
 
 
 def write_feature_csv(path, feature_set: LabeledFeatureSet) -> None:
@@ -478,10 +489,10 @@ def build_feature_sets(
     Tiles are processed in order on the calling thread.  ``threads`` must be
     an integer >= 1 and has no other effect.
     """
-    ds = _distance_list(distances)
+    spacings = _feature_spacings(_distance_list(distances))
     check_threads(threads)
     items = list(items)  # read twice: once for features, once for labels
-    per_tile = [_extract_multi(img, measures, ds, symmetric) for _, _, img in items]
+    per_tile = [_extract_multi(img, measures, spacings, symmetric) for _, _, img in items]
 
     out = {}
     for key in measures:

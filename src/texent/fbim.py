@@ -64,6 +64,7 @@ def compute_fbim(
     """
     if not isinstance(d_max, numbers.Integral):
         raise DomainError(f"d_max must be an integer, got {d_max!r}")
+    d_max = int(d_max)  # a bool or a NumPy integer, say
     if d_max < 1:
         raise DomainError(f"d_max must be >= 1, got {d_max}")
     check_threads(threads)

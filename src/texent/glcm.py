@@ -120,6 +120,7 @@ class SpacingVector:
             raise DomainError(f"d must be an integer >= 1, got {self.d!r}")
         if self.theta not in ANGLES:
             raise DomainError(f"theta must be one of {ANGLES}, got {self.theta!r}")
+        object.__setattr__(self, "theta", ANGLES[ANGLES.index(self.theta)])  # as an int
 
 
 def offset_of(spacing: SpacingVector) -> tuple[int, int]:
@@ -132,14 +133,15 @@ class Glcm:
     """Co-occurrence counts for one spacing vector.
 
     ``counts`` is an L x L integer matrix; ``counts[i, j]`` is the number of
-    pixel positions holding gray level i whose offset neighbor holds j.
-    :attr:`cells` holds its nonzero cells, and ``counts`` (read-only) is built
-    from them on first access.  A Glcm constructed from a square matrix finds
-    its cells in it, and every feature of one whose counts are not integers,
-    or include a negative one, raises :class:`DomainError`.
+    pixel positions holding gray level i whose offset neighbor holds j.  A
+    Glcm made by :func:`compute_glcm` keeps only its tally of the pair codes
+    i * L + j; :attr:`cells`, its nonzero cells, and ``counts`` (read-only)
+    are built from it on first access.  A Glcm constructed from a square
+    matrix finds its cells in it, and every feature of one whose counts are
+    not integers, or include a negative one, raises :class:`DomainError`.
     """
 
-    __slots__ = ("_spacing", "_levels", "_counts", "_cells", "_total")
+    __slots__ = ("_spacing", "_levels", "_counts", "_cells", "_total", "_tally", "_binned")
 
     def __init__(self, counts, spacing: SpacingVector):
         counts = np.asarray(counts)
@@ -150,14 +152,16 @@ class Glcm:
         self._counts = counts
         self._levels = counts.shape[0]
         self._spacing = spacing
-        self._cells = self._total = None
+        self._cells = self._total = self._tally = None
 
     @classmethod
-    def _of_cells(cls, cells: tuple[np.ndarray, np.ndarray], total: int, levels: int,
+    def _of_tally(cls, tally: np.ndarray, binned: bool, total: int, levels: int,
                   spacing: SpacingVector) -> "Glcm":
+        # ``tally`` holds the L * L bins of the pair codes when ``binned``, else
+        # the ``total`` pair codes sorted.
         g = cls.__new__(cls)
-        g._counts = None
-        g._cells, g._total, g._levels, g._spacing = cells, total, levels, spacing
+        g._counts = g._cells = None
+        g._tally, g._binned, g._total, g._levels, g._spacing = tally, binned, total, levels, spacing
         return g
 
     @property
@@ -183,13 +187,20 @@ class Glcm:
     def cells(self) -> tuple[np.ndarray, np.ndarray]:
         """(codes, counts) of the nonzero cells, by ascending code i * L + j."""
         if self._cells is None:
-            flat = self._counts.reshape(-1)
-            if not np.issubdtype(flat.dtype, np.integer):
-                raise DomainError(f"co-occurrence counts must be integers, got {flat.dtype}")
-            codes = flat.nonzero()[0]
-            values = flat[codes]
-            if values.size and values.min() < 0:
-                raise DomainError("co-occurrence counts must be non-negative")
+            if self._tally is None:
+                flat = self._counts.reshape(-1)
+                if not np.issubdtype(flat.dtype, np.integer):
+                    raise DomainError(f"co-occurrence counts must be integers, got {flat.dtype}")
+                codes = flat.nonzero()[0]
+                values = flat[codes]
+                if values.size and values.min() < 0:
+                    raise DomainError("co-occurrence counts must be non-negative")
+            elif self._binned:
+                codes = self._tally.nonzero()[0]
+                values = self._tally[codes]
+            else:
+                starts, values = _runs(self._tally)
+                codes = self._tally[starts]
             self._cells = (codes, values)
         return self._cells
 
@@ -200,43 +211,34 @@ class Glcm:
             self._total = int(self.cells[1].sum())
         return self._total
 
-
-def _pair_codes(a: np.ndarray, b: np.ndarray, levels: int) -> np.ndarray:
-    codes = a.astype(np.uint16)  # widened first: a pair code reaches 65 535
-    codes *= levels
-    codes += b
-    return codes.ravel()
-
-
-def _tally(codes: np.ndarray, cells: int) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct pair codes, ascending, and how many pairs hold each.
-
-    Counted with ``bincount`` when the ``cells`` bins are no more than the
-    codes, else by sorting the codes and measuring the runs, so no array
-    outgrows the larger of the two.  Both give the same arrays.
-    """
-    if cells > codes.size:
-        return _tally_sorted(codes)
-    return _tally_binned(codes, cells)
+    def _count_histogram(self) -> tuple[np.ndarray, np.ndarray]:
+        # The distinct nonzero cell counts k, ascending, and how many cells hold each.
+        if self._tally is None:  # a matrix's counts may be of any size: no bin per count
+            return np.unique(self.cells[1], return_counts=True)
+        h = np.bincount(self._tally if self._binned else _runs(self._tally)[1])
+        h[0] = 0  # the empty bins
+        k = h.nonzero()[0]
+        return k, h[k]
 
 
-def _tally_sorted(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    ordered = np.sort(codes)
-    first = np.empty(codes.size, dtype=bool)
+def _runs(ordered: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # The start and the length of each run of equal values in a sorted array.
+    first = np.empty(ordered.size, dtype=bool)
     first[0] = True
     np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
     starts = first.nonzero()[0]
     runs = np.empty_like(starts)  # run lengths, without np.diff's appended copy
     runs[:-1] = starts[1:]
-    runs[-1] = codes.size
+    runs[-1] = ordered.size
     runs -= starts
-    return ordered[starts], runs
+    return starts, runs
 
 
-def _tally_binned(codes: np.ndarray, cells: int) -> tuple[np.ndarray, np.ndarray]:
-    bins = np.bincount(codes, minlength=cells)
-    present = bins.nonzero()[0]
-    return present.astype(codes.dtype, copy=False), bins[present]
+def _pair_codes(a: np.ndarray, b: np.ndarray, levels: int, dtype) -> np.ndarray:
+    codes = a.astype(dtype)  # widened first: a pair code reaches 65 535
+    codes *= levels
+    codes += b
+    return codes.ravel()
 
 
 def compute_glcm(
@@ -247,8 +249,8 @@ def compute_glcm(
     Pairs whose offset neighbor falls outside the image are skipped.  With
     ``symmetric`` every pair is also accumulated reversed, which equals
     adding the counts of the opposite angle.  The pair codes i * L + j are
-    sorted when the L * L cells outnumber them and binned otherwise; both
-    give the same nonzero cells.
+    kept sorted when the L * L cells outnumber them and binned otherwise;
+    both give the same nonzero cells.
     """
     dx, dy = offset_of(spacing)
     h, w = img.height, img.width
@@ -262,23 +264,29 @@ def compute_glcm(
     px, levels = img.pixels, img.levels
     a = px[r0:r1, c0:c1]
     b = px[r0 + dy : r1 + dy, c0 + dx : c1 + dx]
-    codes = _pair_codes(a, b, levels)
+    cells = levels * levels
+    binned = cells <= a.size * (2 if symmetric else 1)
+    dtype = np.intp if binned else np.uint16  # bincount's own type, or a cheap sort
+    codes = _pair_codes(a, b, levels, dtype)
     if symmetric:
-        codes = np.concatenate((codes, _pair_codes(b, a, levels)))
-    return Glcm._of_cells(_tally(codes, levels * levels), codes.size, levels, spacing)
+        codes = np.concatenate((codes, _pair_codes(b, a, levels, dtype)))
+    tally = np.bincount(codes, minlength=cells) if binned else np.sort(codes)
+    return Glcm._of_tally(tally, binned, codes.size, levels, spacing)
 
 
 def glcp(g: Glcm) -> ProbDist:
     """Co-occurrence probabilities: counts/total flattened row-major.
 
     Zero cells are retained, so the distribution always has L*L outcomes.
-    It holds the nonzero cells' counts, and builds ``probs`` only when asked.
+    It holds the histogram of the nonzero cells' counts, read off the tally
+    of a computed GLCM, and fetches the cells to build ``probs`` only when
+    asked.
     """
-    codes, values = g.cells
     total = g.total
     if total == 0:
         raise EmptyGlcmError("co-occurrence matrix holds no pairs")
-    return ProbDist._of_counts(codes, values, total, g.levels * g.levels)
+    k, h_k = g._count_histogram()
+    return ProbDist._of_histogram(k / total, h_k, g.levels * g.levels, lambda: g.cells)
 
 
 def correlation(g: Glcm) -> float:

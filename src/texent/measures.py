@@ -21,6 +21,7 @@ from several threads at once.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -96,11 +97,11 @@ class ProbDist:
     to build a distribution from unnormalized non-negative weights.
 
     A distribution made from integer counts (as :func:`texent.glcp` makes
-    one) holds its nonzero cells and how many cells share each count, and
-    builds :attr:`probs` only when asked for it.
+    one) holds each distinct nonzero probability and how many outcomes share
+    it, and builds :attr:`probs` only when asked for it.
     """
 
-    __slots__ = ("_probs", "_n", "_cells", "_counts", "_hist")
+    __slots__ = ("_probs", "_n", "_cells", "_hist")
 
     def __init__(self, probs: Iterable[float]):
         self._probs = _checked(probs, 1, "probability vector")
@@ -108,15 +109,13 @@ class ProbDist:
         self._hist = None
 
     @classmethod
-    def _of_counts(cls, cells: np.ndarray, counts: np.ndarray, total: int,
-                   n: int) -> "ProbDist":
-        # counts[k] > 0 is the weight of outcome cells[k] of n; total = sum(counts).
+    def _of_histogram(cls, p: np.ndarray, multiplicity: np.ndarray, n: int,
+                      cells) -> "ProbDist":
+        # multiplicity[k] of the n outcomes have probability p[k] > 0, and
+        # cells() gives the outcomes' indices and integer weights for probs.
         dist = cls.__new__(cls)
         dist._probs = None
-        dist._n, dist._cells, dist._counts = n, cells, counts
-        multiplicity = np.bincount(counts)  # at most total + 1 bins
-        values = multiplicity.nonzero()[0]
-        dist._hist = (values / total, multiplicity[values])
+        dist._n, dist._cells, dist._hist = n, cells, (p, multiplicity)
         return dist
 
     @classmethod
@@ -128,8 +127,9 @@ class ProbDist:
     def probs(self) -> np.ndarray:
         """Read-only float64 view of the probabilities."""
         if self._probs is None:
+            outcomes, counts = self._cells()
             probs = np.zeros(self._n)
-            probs[self._cells] = self._counts / self._counts.sum()
+            probs[outcomes] = counts / counts.sum()
             probs.setflags(write=False)
             self._probs = probs
         return self._probs
@@ -207,7 +207,7 @@ _ORDER_KIND = {"alpha": RENYI, "q": TSALLIS}
 
 
 def _check_order(value: float, name: str) -> None:
-    if not 0.0 < value < math.inf or value == 1.0:
+    if not isinstance(value, numbers.Real) or not 0.0 < value < math.inf or value == 1.0:
         raise DomainError(f"{name} must be finite, > 0 and != 1, got {value!r}")
 
 

@@ -349,3 +349,27 @@ class TestRepeatedCrossValidate:
             repeated_cross_validate(_planted(0), [SplitSpec(seed=1)], "svm")
         with pytest.raises(DomainError, match="training set is empty"):
             repeated_cross_validate(_set([]), [SplitSpec(seed=1)], "1nn")
+
+    @pytest.mark.parametrize("kind", ["1nn", "centroid"])
+    def test_records_grouped_once_and_folds_equal_split_for_40_seeds(self, kind, monkeypatch):
+        fs = _planted(4, classes=3, per_class=9)
+        specs = [SplitSpec(seed=7 * i + 1, fraction=0.2 + 0.015 * i) for i in range(40)]
+        grouped, folds = [], []
+        group, split_indices = classifier._class_members, classifier._split_indices
+
+        def counted_group(feature_set):
+            grouped.append(feature_set)
+            return group(feature_set)
+
+        def recorded_split(members, spec):
+            folds.append(split_indices(members, spec))
+            return folds[-1]
+
+        monkeypatch.setattr(classifier, "_class_members", counted_group)
+        monkeypatch.setattr(classifier, "_split_indices", recorded_split)
+        repeated_cross_validate(fs, specs, kind)
+        assert grouped == [fs]
+        assert len(folds) == len(specs)
+        for spec, indices in zip(specs, folds):
+            for fold, want in zip(indices, split(fs, spec)):
+                assert tuple(fs.records[i] for i in fold) == want.records

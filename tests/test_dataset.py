@@ -274,6 +274,16 @@ class TestTile:
         with pytest.raises(DomainError):
             tile(img, 128)
 
+    @pytest.mark.parametrize("size", [2.5, 4.0, "4", None])
+    def test_non_integer_size_rejected(self, size):
+        with pytest.raises(DomainError, match="^tile size must be an integer, got "):
+            tile(noise_image(8, 8, seed=4), size)
+
+    def test_numpy_size_tiles_as_the_equal_int(self):
+        img = noise_image(8, 8, seed=4)
+        got, want = tile(img, np.int64(4)), tile(img, 4)
+        assert [t.pixels.tobytes() for t in got] == [t.pixels.tobytes() for t in want]
+
     def test_tiles_partition_exactly(self):
         img = noise_image(8, 8, seed=4)
         tiles = tile(img, 4)
@@ -445,6 +455,11 @@ class TestSplit:
     def test_bad_fraction(self):
         with pytest.raises(DomainError):
             SplitSpec(seed=1, fraction=1.0)
+
+    @pytest.mark.parametrize("fraction", ["0.5", None, [0.5]])
+    def test_non_real_fraction_rejected(self, fraction):
+        with pytest.raises(DomainError, match="^fraction must lie in"):
+            SplitSpec(1, fraction)
 
     @pytest.mark.parametrize("seed", [np.int64(3), np.int8(-7), np.uint64(2**63 + 3)])
     def test_numpy_seed_splits_as_the_equal_int(self, seed):

@@ -64,6 +64,13 @@ class TestComputeFbim:
         with pytest.raises(DomainError, match="d_max must be an integer"):
             compute_fbim(noise_image(8, 8, seed=2), CORRELATION, d_max=d_max)
 
+    def test_dmax_true_maps_as_one(self):
+        img = noise_image(8, 8, seed=2)
+        f = compute_fbim(img, EntropyMeasure("proposed"), d_max=True)
+        assert f.d_max == 1 and type(f.d_max) is int
+        want = compute_fbim(img, EntropyMeasure("proposed"), d_max=1)
+        assert f.values.tobytes() == want.values.tobytes()
+
     def test_dmax_numpy_integer_accepted(self):
         img = noise_image(8, 8, seed=2)
         f = compute_fbim(img, CORRELATION, d_max=np.int64(3))

@@ -112,6 +112,14 @@ class TestOffsets:
         assert s == SpacingVector(2, 45) and hash(s) == hash(SpacingVector(2, 45))
         assert type(s.d) is int
 
+    @pytest.mark.parametrize("theta", [np.int64(45), 45.0, np.float64(45.0), np.uint8(45)])
+    def test_theta_stored_as_int(self, theta):
+        s = SpacingVector(1, theta)
+        assert type(s.theta) is int and s.theta == 45
+        assert s == SpacingVector(1, 45) and hash(s) == hash(SpacingVector(1, 45))
+        with pytest.raises(DomainError, match="d must be an integer >= 1"):
+            SpacingVector(1.0, theta)
+
 
 class TestComputeGlcm:
     def test_two_column_image(self):

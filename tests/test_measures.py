@@ -445,6 +445,13 @@ class TestEntropyMeasure:
         with pytest.raises(DomainError, match="q must be finite"):
             EntropyMeasure("tsallis", q=math.nan)
 
+    @pytest.mark.parametrize("order", ["2", b"2", [2.0]])
+    def test_non_real_order_rejected(self, order):
+        with pytest.raises(DomainError, match="^alpha must be finite, > 0 and != 1, got "):
+            EntropyMeasure("renyi", alpha=order)
+        with pytest.raises(DomainError, match="^q must be finite, > 0 and != 1, got "):
+            EntropyMeasure("tsallis", q=order)
+
     @pytest.mark.parametrize("kind", MEASURE_KINDS)
     def test_dispatch_equals_public_function_exactly(self, kind):
         direct = {

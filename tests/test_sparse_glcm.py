@@ -1,8 +1,9 @@
 """The sparse co-occurrence path against the dense one it replaced.
 
-``compute_glcm`` keeps only the nonzero cells of a GLCM, every entropy measure
-is evaluated from the histogram of their counts, correlation from exact
-integer moments, and ``compute_fbim`` copies the rows of angles 180..315 from
+``compute_glcm`` keeps only the tally of a GLCM's pair codes, binned or
+sorted; every entropy measure is evaluated from the histogram of the cells'
+counts read off that tally, correlation from exact integer moments of the
+nonzero cells, and ``compute_fbim`` copies the rows of angles 180..315 from
 those of 0..135.  The dense reference here is the earlier implementation:
 each measure summed over all L*L probabilities, zeros included, and
 correlation from float64 frequencies and an L x L outer product.
@@ -11,21 +12,23 @@ correlation from float64 frequencies and an L x L outer product.
 import math
 import tracemalloc
 from decimal import Decimal, localcontext
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-import texent.glcm
+import texent.dataset
 from conftest import ORDERS, noise_image
 from texent import (
     ANGLES,
     CORRELATION,
     MEASURE_KINDS,
     EntropyMeasure,
+    apply_measure,
+    build_feature_sets,
     Glcm,
     GrayImage,
+    ProbDist,
     SpacingVector,
     compute_fbim,
     compute_glcm,
@@ -36,7 +39,7 @@ from texent import (
 )
 from texent.errors import DegenerateVarianceError
 from texent.fbim import _cell_feature
-from texent.glcm import _correlations, _tally_binned, _tally_sorted
+from texent.glcm import _correlations
 
 
 def _dense_proposed(p, order):
@@ -111,24 +114,43 @@ def _tiles(levels):
     yield GrayImage(ramp, levels)
 
 
-BRANCHES = {
-    "sorted": lambda values, size: _tally_sorted(values),
-    "binned": _tally_binned,
-}
+def _pair_codes(img, spacing, symmetric):
+    """The pair codes i * L + j as intp, from the image's own slices."""
+    dx, dy = offset_of(spacing)
+    px = img.pixels.astype(np.intp)
+    h, w = px.shape
+    a = px[max(0, -dy):h - max(0, dy), max(0, -dx):w - max(0, dx)]
+    b = px[max(0, dy):h - max(0, -dy), max(0, dx):w - max(0, -dx)]
+    codes = (a * img.levels + b).ravel()
+    if symmetric:
+        codes = np.concatenate((codes, (b * img.levels + a).ravel()))
+    return codes
+
+
+#: Whether each branch of compute_glcm's tally bins the pair codes.
+BRANCHES = {"sorted": False, "binned": True}
+
+
+def _tallied(img, spacing, symmetric, binned):
+    """The Glcm of the pairs with the tally of the chosen branch, whatever the sizes."""
+    codes = _pair_codes(img, spacing, symmetric)
+    if binned:
+        tally = np.bincount(codes, minlength=img.levels * img.levels)
+    else:
+        tally = np.sort(codes.astype(np.uint16))
+    return Glcm._of_tally(tally, binned, codes.size, img.levels, spacing)
 
 
 @pytest.mark.parametrize("branch", sorted(BRANCHES))
 @pytest.mark.parametrize("symmetric", [False, True])
 @pytest.mark.parametrize("levels", [4, 16, 64, 256])
-def test_sparse_values_stay_within_one_ulp_scale_of_dense(levels, symmetric, branch,
-                                                          monkeypatch):
+def test_sparse_values_stay_within_one_ulp_scale_of_dense(levels, symmetric, branch):
     # 1e-15 absolute for values up to 1 (proposed, normalized, correlation),
     # relative above that (Shannon, Renyi and Tsallis reach ln(L*L) and more).
-    monkeypatch.setattr(texent.glcm, "_tally", BRANCHES[branch])
     for img in _tiles(levels):
         for theta in ANGLES:
             for d in (1, 3):
-                g = compute_glcm(img, SpacingVector(d, theta), symmetric)
+                g = _tallied(img, SpacingVector(d, theta), symmetric, BRANCHES[branch])
                 p = g.counts.reshape(-1) / g.total
                 for kind, order in MEASURES:
                     new = glcm_entropy(g, EntropyMeasure.select(kind, order, order))
@@ -142,19 +164,6 @@ def test_sparse_values_stay_within_one_ulp_scale_of_dense(levels, symmetric, bra
                 new = correlation(g)
                 assert abs(new - dense_correlation(g.counts)) <= 1e-15
                 assert abs(new - exact) <= 4 * math.ulp(exact)
-
-
-def _pair_codes(img, spacing, symmetric):
-    """The pair codes i * L + j as intp, from the image's own slices."""
-    dx, dy = offset_of(spacing)
-    px = img.pixels.astype(np.intp)
-    h, w = px.shape
-    a = px[max(0, -dy):h - max(0, dy), max(0, -dx):w - max(0, dx)]
-    b = px[max(0, dy):h - max(0, -dy), max(0, dx):w - max(0, -dx)]
-    codes = (a * img.levels + b).ravel()
-    if symmetric:
-        codes = np.concatenate((codes, (b * img.levels + a).ravel()))
-    return codes
 
 
 _IMAGES = dict(seed=st.integers(0, 2**32 - 1), h=st.integers(2, 14), w=st.integers(2, 14),
@@ -176,23 +185,62 @@ def test_sort_and_bincount_counting_agree(seed, h, w, levels, spread, d, theta, 
     d = min(d, h - 1, w - 1)
     spacing = SpacingVector(d, theta)
     codes = _pair_codes(img, spacing, symmetric)
-    sorted_cells = _tally_sorted(codes.astype(np.uint16))
-    binned_cells = _tally_binned(codes.astype(np.uint16), levels * levels)
     want = np.unique(codes, return_counts=True)
-    for cells in (sorted_cells, binned_cells):
-        assert [x.dtype for x in cells] == [np.uint16, np.intp]
-        assert np.array_equal(cells[0], want[0]) and np.array_equal(cells[1], want[1])
     # The dense matrix built from the cells is the bincount matrix, by either branch.
     matrix = np.bincount(_pair_codes(img, spacing, False), minlength=levels * levels)
     matrix = matrix.reshape(levels, levels)
     if symmetric:
         matrix = matrix + matrix.T
-    for branch in BRANCHES.values():
-        with mock.patch.object(texent.glcm, "_tally", branch):
-            g = compute_glcm(img, spacing, symmetric)  # tallied here, under the patch
-        assert np.array_equal(g.counts, matrix)
-        assert g.counts.dtype == matrix.dtype and not g.counts.flags.writeable
-        assert g.total == codes.size
+    g = compute_glcm(img, spacing, symmetric)
+    assert g._binned == (levels * levels <= codes.size)
+    for glcm in (g, *(_tallied(img, spacing, symmetric, b) for b in BRANCHES.values())):
+        cells = glcm.cells
+        assert cells[1].dtype == np.intp
+        assert np.array_equal(cells[0], want[0]) and np.array_equal(cells[1], want[1])
+        assert np.array_equal(glcm.counts, matrix)
+        assert glcm.counts.dtype == matrix.dtype and not glcm.counts.flags.writeable
+        assert glcm.total == codes.size
+
+
+#: Orders within 2**-4 of 1, where Renyi and Tsallis take their expm1 forms.
+_NEAR_ONE = st.floats(1 - 2**-4, 1 + 2**-4).filter(lambda x: x != 1.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(**_IMAGES, d=st.integers(1, 13), theta=st.sampled_from(ANGLES),
+       symmetric=st.booleans(), pixels=st.sampled_from(["noise", "constant", "distinct"]),
+       near=_NEAR_ONE, far=ORDERS)
+@example(seed=0, h=14, w=14, levels=2, spread=2, d=1, theta=0, symmetric=False,
+         pixels="noise", near=1 + 2**-4, far=2.0)
+@example(seed=0, h=3, w=5, levels=256, spread=1, d=2, theta=90, symmetric=True,
+         pixels="constant", near=1 - 2**-4, far=0.5)
+@example(seed=0, h=14, w=14, levels=256, spread=256, d=1, theta=315, symmetric=True,
+         pixels="distinct", near=1 + 2**-30, far=1e300)
+def test_count_histogram_and_measures_from_the_tally_equal_the_matrix_path(
+        seed, h, w, levels, spread, d, theta, symmetric, pixels, near, far):
+    # A constant image puts every pair in one cell; "distinct" gives every
+    # pixel its own gray level where the levels allow, so no two pairs share a
+    # cell.  Levels 2-256 reach both the binned and the sorted tally.
+    if pixels == "noise":
+        img = _image(seed, h, w, levels, spread)
+    elif pixels == "constant":
+        img = GrayImage(np.full((h, w), min(spread, levels) - 1), levels)
+    else:
+        w = min(w, max(2, levels // h))
+        img = GrayImage(np.arange(h * w).reshape(h, w) % levels, levels)
+    spacing = SpacingVector(min(d, h - 1, w - 1), theta)
+    g = compute_glcm(img, spacing, symmetric)
+    k, h_k = g._count_histogram()
+    assert g._cells is None  # read off the tally alone
+    counted = np.bincount(g.cells[1])
+    assert np.array_equal(k, counted.nonzero()[0]) and np.array_equal(h_k, counted[k])
+    from_matrix = Glcm(g.counts, g.spacing)
+    assert all(np.array_equal(x, y) for x, y in zip(from_matrix._count_histogram(), (k, h_k)))
+    for kind in MEASURE_KINDS:
+        for order in ((near, far) if kind in ("renyi", "tsallis") else (None,)):
+            m = EntropyMeasure.select(kind, order, order)
+            got, want = apply_measure(m, glcp(g)), apply_measure(m, glcp(from_matrix))
+            assert np.float64(got).tobytes() == np.float64(want).tobytes(), (kind, order)
 
 
 @settings(max_examples=60, deadline=None)
@@ -220,32 +268,109 @@ def test_pixel_pair_moments_equal_cell_moments(seed, h, w, levels, spread, d, th
         assert np.float64(from_pixels).tobytes() == np.float64(value).tobytes()
 
 
-def test_correlation_map_never_tallies_cells(monkeypatch):
-    def no_tally(codes, cells):
-        raise AssertionError("the cells were tallied")
+@pytest.mark.parametrize("dtype", [np.int64, np.uint64])
+def test_a_matrix_count_needs_no_bin_per_count_value(dtype):
+    # Binning the counts of this matrix would make a 2**20-entry (8 MiB) array.
+    # Its counts are distinct, so each term is summed once, as from probabilities.
+    counts = np.array([[2**20, 3], [0, 5]], dtype=dtype)
+    g = Glcm(counts, SpacingVector(1, 0))
+    tracemalloc.start()
+    try:
+        dist = glcp(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
+    dense = ProbDist.normalize(counts.reshape(-1).astype(np.float64))
+    for kind, order in MEASURES:
+        m = EntropyMeasure.select(kind, order, order)
+        assert apply_measure(m, dist) == apply_measure(m, dense), (kind, order)
 
-    monkeypatch.setattr(texent.glcm, "_tally", no_tally)
+
+def _count_glcms(monkeypatch) -> list[str]:
+    """Record, from now on, each Glcm made by compute_glcm or from a matrix."""
+    made = []
+    of_tally, init = Glcm._of_tally.__func__, Glcm.__init__
+
+    def counted_of_tally(cls, *args):
+        made.append("tally")
+        return of_tally(cls, *args)
+
+    def counted_init(self, *args, **kwargs):
+        made.append("matrix")
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Glcm, "_of_tally", classmethod(counted_of_tally))
+    monkeypatch.setattr(Glcm, "__init__", counted_init)
+    return made
+
+
+def _count_cell_builds(monkeypatch) -> list[SpacingVector]:
+    """Record, from now on, the spacing of each Glcm whose cells get built."""
+    built = []
+    cells = Glcm.cells.fget
+
+    def counted(self):
+        if self._cells is None:
+            built.append(self.spacing)
+        return cells(self)
+
+    monkeypatch.setattr(Glcm, "cells", property(counted))
+    return built
+
+
+def test_correlation_map_makes_no_glcm(monkeypatch):
+    made = _count_glcms(monkeypatch)
     img = noise_image(24, 24, seed=5, levels=256)
     compute_fbim(img, CORRELATION, d_max=4, threads=2)
-    with pytest.raises(AssertionError, match="tallied"):
-        compute_glcm(img, SpacingVector(3, 0))
+    compute_fbim(img, CORRELATION, d_max=4, symmetric=True)
+    assert made == []
+    compute_glcm(img, SpacingVector(3, 0))
+    Glcm(np.eye(3, dtype=np.int64), SpacingVector(1, 0))
+    assert made == ["tally", "matrix"]
 
 
+@pytest.mark.parametrize("levels", [4, 16, 256])
 @pytest.mark.parametrize("symmetric", [False, True])
-def test_one_glcm_is_tallied_once(symmetric, monkeypatch):
-    calls = []
+def test_classify_tiles_and_proposed_maps_never_build_cells(symmetric, levels, monkeypatch):
+    # At 4 and 16 levels the tiles' tallies are binned; at 256, sorted.
+    tiles = [(f"c{k % 2}", f"t{k}", noise_image(16, 16, seed=k, levels=levels))
+             for k in range(4)]
+    measures = {kind: EntropyMeasure.select(kind, 1.01, 2.5) for kind in MEASURE_KINDS}
+    calls = {name: 0 for name in ("compute_glcm", "glcp", "apply_measure")}
+    for name in calls:
+        original = getattr(texent.dataset, name)
 
-    def tally(codes, cells):
-        calls.append(codes.size)
-        return _tally_sorted(codes)
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
 
-    monkeypatch.setattr(texent.glcm, "_tally", tally)
-    img = noise_image(24, 24, seed=5, levels=256)
+        monkeypatch.setattr(texent.dataset, name, counted)
+    built = _count_cell_builds(monkeypatch)
+    build_feature_sets(tiles, measures, [1, 2, 5], symmetric)
+    glcms = len(tiles) * 3 * 4  # 3 distances, 4 angles
+    assert calls == {"compute_glcm": glcms, "glcp": glcms,
+                     "apply_measure": glcms * len(measures)}
+    compute_fbim(tiles[0][2], measures["proposed"], d_max=7, symmetric=symmetric)
+    compute_fbim(tiles[0][2], measures["renyi"], d_max=7, symmetric=symmetric)
+    assert built == []
+
+
+@pytest.mark.parametrize("levels", [4, 256])
+@pytest.mark.parametrize("symmetric", [False, True])
+def test_one_glcm_builds_its_cells_once_on_request(symmetric, levels, monkeypatch):
+    built = _count_cell_builds(monkeypatch)
+    img = noise_image(24, 24, seed=5, levels=levels)
     g = compute_glcm(img, SpacingVector(3, 45), symmetric)
-    glcp(g)
+    dist = glcp(g)
+    glcm_entropy(g, EntropyMeasure("shannon"))
+    assert built == []
+    probs = dist.probs
+    assert built == [g.spacing]
     correlation(g)
-    g.counts
-    assert calls == [g.total]
+    assert np.array_equal(g.counts.reshape(-1) / g.total, probs)
+    assert glcp(g).probs.tobytes() == probs.tobytes()
+    assert built == [g.spacing]
 
 
 def _direct_cell(img, feature, spacing, symmetric):
