@@ -15,9 +15,12 @@ from .classifier import (
     classify,
     cross_validate,
     evaluate,
+    mean_report,
     repeated_cross_validate,
     report_csv,
+    report_table,
     train,
+    two_way,
 )
 from .dataset import (
     FEATURE_ANGLES,

@@ -30,13 +30,11 @@ __all__ = [
 ONE_NN = "1nn"
 NEAREST_CENTROID = "centroid"
 
-#: Most bytes of squared distances held at once, in chunks of query rows.
-_MATRIX_BYTES = 64 << 20
+#: Most bytes of the (query rows, points, features) difference array held at once.
+_CHUNK_BYTES = 1 << 20
 
-#: Nearest records ranked per record for cross-validation, and the most bytes
-#: of column indices ranked at once.
+#: Nearest records ranked per record for cross-validation.
 _CANDIDATES = 16
-_RANK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,12 +89,9 @@ def _class_means(points: np.ndarray, codes: np.ndarray, n: int) -> np.ndarray:
 
 
 def _sq_distances(points: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    # One row per query, each reduced by the same expression, so a distance
-    # has the same bits on every path and ties fall alike.
-    out = np.empty((len(queries), len(points)))
-    for row, q in zip(out, queries):
-        row[:] = np.sum((points - q) ** 2, axis=1)
-    return out
+    # One broadcast; each distance is reduced over the features alone, so it
+    # has the same bits for any set of rows and points, and ties fall alike.
+    return np.sum((points - queries[:, None]) ** 2, axis=2)
 
 
 def _nearest(d2: np.ndarray, codes: np.ndarray) -> np.ndarray:
@@ -106,10 +101,11 @@ def _nearest(d2: np.ndarray, codes: np.ndarray) -> np.ndarray:
 
 
 def _distance_chunks(points: np.ndarray, queries: np.ndarray):
-    # (first row, squared distances) per chunk of query rows, each at most _MATRIX_BYTES.
-    rows = max(1, _MATRIX_BYTES // (8 * len(points)))
+    # Squared distances per chunk of query rows, each from at most _CHUNK_BYTES
+    # of differences (a featureless set counts as one feature).
+    rows = max(1, _CHUNK_BYTES // (8 * max(1, points.size)))
     for start in range(0, len(queries), rows):
-        yield start, _sq_distances(points, queries[start : start + rows])
+        yield _sq_distances(points, queries[start : start + rows])
 
 
 def _ranked(d2: np.ndarray, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -117,18 +113,14 @@ def _ranked(d2: np.ndarray, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # (distance, code), and those distances.  Every other column lies at or
     # beyond the row's last candidate distance.
     k = min(_CANDIDATES, d2.shape[1])
-    rows = max(1, _RANK_BYTES // (8 * d2.shape[1]))
-    cols = np.empty((len(d2), k), dtype=np.intp)
-    for r in range(0, len(d2), rows):  # one block's full ranking alive at a time
-        cols[r:r + rows] = np.argpartition(d2[r:r + rows], k - 1, axis=1)[:, :k]
+    cols = np.argpartition(d2, k - 1, axis=1)[:, :k]
     dist = np.take_along_axis(d2, cols, axis=1)
     order = np.lexsort((codes[cols], dist))
     return np.take_along_axis(cols, order, axis=1), np.take_along_axis(dist, order, axis=1)
 
 
 def _predict(points: np.ndarray, codes: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    chunks = _distance_chunks(points, queries)
-    return np.concatenate([_nearest(d2, codes) for _, d2 in chunks])
+    return np.concatenate([_nearest(d2, codes) for d2 in _distance_chunks(points, queries)])
 
 
 def classify(model: TrainedModel, features) -> str:
@@ -165,17 +157,10 @@ def _report(names: tuple[str, ...], truth: np.ndarray, predicted: np.ndarray) ->
     # Tabulate true against predicted codes; accuracies cover the true classes.
     n = len(names)
     confusion = np.bincount(truth * n + predicted, minlength=n * n).reshape(n, n)
-    per_class = {}
-    for i in np.unique(truth):
-        per_class[names[i]] = float(confusion[i, i]) / int(confusion[i].sum())
-    average = sum(per_class.values()) / len(per_class)
+    per_class = {names[i]: float(confusion[i, i]) / int(confusion[i].sum())
+                 for i in np.unique(truth)}
     confusion.setflags(write=False)
-    return EvalReport(
-        labels=names,
-        confusion=confusion,
-        per_class_accuracy=per_class,
-        average_accuracy=average,
-    )
+    return EvalReport(names, confusion, per_class, sum(per_class.values()) / len(per_class))
 
 
 def evaluate(model: TrainedModel, test_set: LabeledFeatureSet) -> EvalReport:
@@ -218,15 +203,16 @@ def repeated_cross_validate(
 
     The records are grouped by class, and the folds, points and label codes
     built, once per call.  1-NN computes the squared distance between every
-    two records once, in chunks of query rows of at most 64 MiB, and ranks
-    each record's 16 nearest records by (distance, label).  A test record
+    two records once, in chunks of query rows of at most 1 MiB of feature
+    differences, and ranks each record's 16 nearest records by (distance,
+    label).  Each fold is then resolved from that ranking: a test record
     takes the label of its first ranked record in the train fold; when there
     is none, or that record lies at the last ranked distance, where an
-    unranked record may tie with it, the record is resolved against the
-    whole train fold.  Nearest-centroid
-    predicts each fold against its train fold's class means.  The distances
-    have the bits :func:`classify` gives them, so the reports equal those of
-    :func:`two_way` on :func:`split`'s folds.
+    unranked record may tie with it, the record is classified against the
+    whole train fold.  Nearest-centroid predicts each fold against its train
+    fold's class means.  The distances have the bits :func:`classify` gives
+    them, so the reports equal those of :func:`two_way` on :func:`split`'s
+    folds.
     """
     records = full_set.records
     _check_training(kind, records)
@@ -242,22 +228,20 @@ def repeated_cross_validate(
         predicted = [_predict(_class_means(points[a], codes[a], len(names)),
                               np.arange(len(names)), points[b]) for a, b in folds]
     else:
-        predicted = [np.empty(len(test), dtype=np.intp) for _, test in folds]
-        for start, d2 in _distance_chunks(points, points):
-            cols, dist = _ranked(d2, codes)
-            for (train_idx, test_idx), out in zip(folds, predicted):
-                here = (test_idx >= start) & (test_idx < start + len(d2))
-                rows = test_idx[here] - start
-                in_train = np.zeros(len(records), dtype=bool)
-                in_train[train_idx] = True
-                hit = in_train[cols[rows]]
-                first = hit.argmax(axis=1)
-                sure = hit.any(axis=1) & (dist[rows, first] < dist[rows, -1])
-                got = codes[cols[rows, first]]
-                if not sure.all():
-                    got[~sure] = _nearest(d2[np.ix_(rows[~sure], train_idx)],
-                                          codes[train_idx])
-                out[here] = got
+        ranked = [_ranked(d2, codes) for d2 in _distance_chunks(points, points)]
+        cols, dist = (np.concatenate(parts) for parts in zip(*ranked))
+        predicted = []
+        for train_idx, test_idx in folds:
+            in_train = np.zeros(len(records), dtype=bool)
+            in_train[train_idx] = True
+            hit = in_train[cols[test_idx]]
+            first = hit.argmax(axis=1)
+            got = codes[cols[test_idx, first]]
+            unsure = ~hit.any(axis=1) | (dist[test_idx, first] == dist[test_idx, -1])
+            if unsure.any():
+                got[unsure] = _predict(points[train_idx], codes[train_idx],
+                                       points[test_idx[unsure]])
+            predicted.append(got)
     reports = [_report(names, codes[test], p) for (_, test), p in zip(folds, predicted)]
     return list(zip(reports[::2], reports[1::2]))
 

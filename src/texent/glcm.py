@@ -62,10 +62,7 @@ class GrayImage:
             raise DomainError("pixels must form a non-empty 2-D array")
         if not np.issubdtype(arr.dtype, np.integer):
             raise DomainError(f"pixels must be integers, got dtype {arr.dtype}")
-        if not isinstance(levels, int) and isinstance(levels, numbers.Integral):
-            levels = int(levels)  # a NumPy integer, say
-        if not isinstance(levels, int) or not 2 <= levels <= 256:
-            raise DomainError(f"levels must be an integer in [2, 256], got {levels!r}")
+        levels = _level_count(levels)
         lo, hi = int(arr.min()), int(arr.max())
         if lo < 0 or hi >= levels:
             raise DomainError(
@@ -94,6 +91,7 @@ class GrayImage:
 
     def quantize(self, levels: int) -> "GrayImage":
         """Down-quantize to fewer gray bins (v -> v * levels // old_levels)."""
+        levels = _level_count(levels)
         if levels == self._levels:
             return self
         if levels > self._levels:
@@ -106,6 +104,12 @@ class GrayImage:
         return f"GrayImage({self.width}x{self.height}, levels={self._levels})"
 
 
+def _level_count(levels) -> int:
+    if not isinstance(levels, numbers.Integral) or not 2 <= levels <= 256:
+        raise DomainError(f"levels must be an integer in [2, 256], got {levels!r}")
+    return int(levels)  # a NumPy integer or a bool, say
+
+
 @dataclass(frozen=True)
 class SpacingVector:
     """Displacement magnitude d (pixels) at one of the eight angles."""
@@ -114,8 +118,8 @@ class SpacingVector:
     theta: int
 
     def __post_init__(self):
-        if not isinstance(self.d, int) and isinstance(self.d, numbers.Integral):
-            object.__setattr__(self, "d", int(self.d))  # a NumPy integer, say
+        if type(self.d) is not int and isinstance(self.d, numbers.Integral):
+            object.__setattr__(self, "d", int(self.d))  # a NumPy integer or a bool, say
         if not isinstance(self.d, int) or self.d < 1:
             raise DomainError(f"d must be an integer >= 1, got {self.d!r}")
         if self.theta not in ANGLES:
@@ -138,7 +142,8 @@ class Glcm:
     i * L + j; :attr:`cells`, its nonzero cells, and ``counts`` (read-only)
     are built from it on first access.  A Glcm constructed from a square
     matrix finds its cells in it, and every feature of one whose counts are
-    not integers, or include a negative one, raises :class:`DomainError`.
+    not integers, include a negative one, or total 2**53 or more, raises
+    :class:`DomainError`.
     """
 
     __slots__ = ("_spacing", "_levels", "_counts", "_cells", "_total", "_tally", "_binned")
@@ -207,8 +212,11 @@ class Glcm:
     @property
     def total(self) -> int:
         """Total number of counted pairs."""
-        if self._total is None:
-            self._total = int(self.cells[1].sum())
+        if self._total is None:  # a matrix's: summed in Python ints, which do not wrap
+            total = sum(self.cells[1].tolist())
+            if total >= 2**53:  # where k / N stops being exact
+                raise DomainError(f"co-occurrence counts must total below 2**53, got {total}")
+            self._total = total
         return self._total
 
     def _count_histogram(self) -> tuple[np.ndarray, np.ndarray]:
@@ -298,11 +306,14 @@ def correlation(g: Glcm) -> float:
     either variance is zero, as for a constant image.
 
     Evaluated in exact integers, up to the last division and root, from the
-    moments N, sum(i), sum(j), sum(i**2), sum(j**2) and sum(i*j) of the cells.
+    moments N, sum(i), sum(j), sum(i**2), sum(j**2) and sum(i*j) of the cells,
+    summed in int64: N * (L - 1)**2 of 2**63 or more raises :class:`DomainError`.
     """
     n = g.total
     if n == 0:
         raise EmptyGlcmError("co-occurrence matrix holds no pairs")
+    if n * (g.levels - 1) ** 2 >= 2**63:  # where the int64 moments could wrap
+        raise DomainError(f"correlation needs N * (L - 1)**2 below 2**63, got N = {n}")
     value = _pearson(n, *_cell_moments(*g.cells, g.levels))
     if math.isnan(value):
         raise DegenerateVarianceError(

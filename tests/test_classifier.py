@@ -1,5 +1,6 @@
 """Unit tests for the nearest-neighbor and nearest-centroid classifiers."""
 
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -213,6 +214,28 @@ def _planted(seed, classes=5, per_class=14, dim=3):
     return _set(rows)
 
 
+def _row_sq_distances(points, queries):
+    """Squared distances the per-query-row way, one reduction per row."""
+    return np.array([np.sum((points - q) ** 2, axis=1) for q in queries])
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), dim=st.integers(1, 129), n=st.integers(1, 40), rows=st.integers(1, 40))
+def test_sq_distances_have_the_bits_of_the_per_row_form(data, dim, n, rows):
+    # Any chunk of query rows against any subset of points, at scales that
+    # spread the features over twelve decades.
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** rng.uniform(-6, 6, size=dim)
+    points, queries = rng.normal(size=(n, dim)) * scale, rng.normal(size=(rows, dim)) * scale
+    subset = data.draw(st.lists(st.integers(0, n - 1), min_size=1, unique=True))
+    want = _row_sq_distances(points, queries)[:, subset]
+    chunk = data.draw(st.integers(0, 8 * rows * len(subset) * dim))
+    with mock.patch.object(classifier, "_CHUNK_BYTES", chunk):
+        got = np.concatenate(list(classifier._distance_chunks(points[subset], queries)))
+    assert got.tobytes() == want.tobytes()
+    assert classifier._sq_distances(points[subset], queries).tobytes() == want.tobytes()
+
+
 def _old_confusion(train_set, test_set, kind):
     """Confusion of the per-record loop: nearest points, smallest label on ties."""
     model = train(train_set, kind)
@@ -231,7 +254,7 @@ class TestRepeatedCrossValidate:
     @pytest.mark.parametrize("kind", ["1nn", "centroid"])
     def test_equals_two_way_on_each_split(self, kind, n_specs, bound, monkeypatch):
         if bound == 0:
-            monkeypatch.setattr(classifier, "_MATRIX_BYTES", 0)  # one row per chunk
+            monkeypatch.setattr(classifier, "_CHUNK_BYTES", 0)  # one row per chunk
         for seed in range(3):
             fs = _planted(seed)
             specs = [SplitSpec(seed=100 * seed + i, fraction=0.3 + 0.1 * i)
@@ -254,10 +277,10 @@ class TestRepeatedCrossValidate:
     @given(data=st.data(), classes=st.integers(2, 4), per_class=st.integers(2, 14),
            dim=st.integers(1, 3), decimals=st.sampled_from([0, 1, None]),
            fraction=st.floats(0.1, 0.9), candidates=st.sampled_from([16, 1]),
-           rank_bytes=st.sampled_from([1 << 20, 8]), matrix_bytes=st.sampled_from([64 << 20, 0]))
+           chunk_bytes=st.sampled_from([1 << 20, 0]))
     def test_ranked_predictions_equal_per_fold_nearest(self, data, classes, per_class, dim,
                                                        decimals, fraction, candidates,
-                                                       rank_bytes, matrix_bytes):
+                                                       chunk_bytes):
         # n runs from 4 to 56 records, on both sides of the 16 ranked per record;
         # rounded features tie often, and one candidate forces the fallback.
         seed = data.draw(st.integers(0, 2**32 - 1))
@@ -274,7 +297,7 @@ class TestRepeatedCrossValidate:
             return report(names, truth, p)
 
         with mock.patch.multiple(classifier, _report=spy, _CANDIDATES=candidates,
-                                 _RANK_BYTES=rank_bytes, _MATRIX_BYTES=matrix_bytes):
+                                 _CHUNK_BYTES=chunk_bytes):
             repeated_cross_validate(fs, specs, "1nn")
         names = fs.class_labels()
         want = []
@@ -284,7 +307,7 @@ class TestRepeatedCrossValidate:
                 points = np.array([r.features for r in train_set])
                 codes = np.array([names.index(r.label) for r in train_set])
                 queries = np.array([r.features for r in test_set])
-                want.append(classifier._nearest(classifier._sq_distances(points, queries), codes))
+                want.append(classifier._nearest(_row_sq_distances(points, queries), codes))
         assert len(predicted) == len(want)
         for got, ref in zip(predicted, want):
             assert np.array_equal(got, ref)
@@ -326,23 +349,45 @@ class TestRepeatedCrossValidate:
             assert np.array_equal(a.confusion, b.confusion)
             assert a.per_class_accuracy == b.per_class_accuracy
 
-    @pytest.mark.parametrize("bound, n, chunks", [
-        (64 << 20, 2896, 1), (64 << 20, 2897, 2), (8 * 400, 40, 4)])
-    def test_distances_held_at_once_are_bounded(self, bound, n, chunks, monkeypatch):
-        sizes = []
+    @pytest.mark.parametrize("bound, n, dim, chunks", [
+        (1 << 20, 362, 1, 1), (1 << 20, 363, 1, 2), (8 * 400, 40, 1, 4),
+        (8 * 40 * 3 * 5, 40, 3, 8), (0, 40, 2, 40)])
+    def test_distances_held_at_once_are_bounded(self, bound, n, dim, chunks, monkeypatch):
+        calls = []  # (points, query rows) of each distance chunk
         original = classifier._sq_distances
 
         def spy(points, queries):
-            sizes.append(len(points) * len(queries))
+            calls.append((len(points), len(queries)))
+            assert 8 * len(queries) * points.size <= bound or len(queries) == 1
             return original(points, queries)
 
         monkeypatch.setattr(classifier, "_sq_distances", spy)
-        monkeypatch.setattr(classifier, "_MATRIX_BYTES", bound)
-        fs = _set((f"c{i % 2}", f"t{i}", [float(i % 7)]) for i in range(n))
-        repeated_cross_validate(fs, [SplitSpec(seed=1), SplitSpec(seed=2)], "1nn")
-        assert max(sizes) * 8 <= bound
-        assert len(sizes) == chunks
-        assert sum(sizes) == n * n  # every distance once, whatever the bound
+        monkeypatch.setattr(classifier, "_CHUNK_BYTES", bound)
+        fs = _set((f"c{i % 2}", f"t{i}", [float(i % 7)] * dim) for i in range(n))
+        specs = [SplitSpec(seed=1), SplitSpec(seed=2)]
+        repeated_cross_validate(fs, specs, "1nn")
+        ranking = [rows for points, rows in calls if points == n]
+        assert len(ranking) == chunks
+        assert sum(ranking) == n  # every distance once, whatever the bound
+        # Seven distinct points tie often at the last ranked distance, so some
+        # test rows fall back, each against its own train fold only.
+        train_sizes = {len(fold.records) for spec in specs for fold in split(fs, spec)}
+        fallback = [(points, rows) for points, rows in calls if points < n]
+        assert fallback and {points for points, _ in fallback} <= train_sizes
+        assert sum(rows for _, rows in fallback) <= n * len(specs)
+
+    def test_peak_memory_on_768_records_is_bounded(self):
+        # classify-coarse's shape: 8 classes of 96 records, 8 features, 40 splits.
+        rng = np.random.default_rng(0)
+        fs = _set((f"c{i % 8}", f"t{i}", f) for i, f in enumerate(rng.normal(size=(768, 8))))
+        specs = [SplitSpec(seed=s) for s in range(40)]
+        tracemalloc.start()
+        try:
+            repeated_cross_validate(fs, specs, "1nn")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 << 20
 
     def test_rejects_unknown_kind_and_empty_set(self):
         with pytest.raises(DomainError, match="classifier kind"):

@@ -63,6 +63,16 @@ class TestGrayImage:
         with pytest.raises(DomainError):
             q.quantize(256)
 
+    @pytest.mark.parametrize("levels", [2.5, "4", 1, None])
+    def test_quantize_checks_levels_as_the_constructor_does(self, levels):
+        img = GrayImage([[0, 64, 128, 255]], levels=256)
+        with pytest.raises(DomainError, match=r"levels must be an integer in \[2, 256\], got "):
+            img.quantize(levels)
+
+    def test_quantize_to_integral_levels(self):
+        q = GrayImage([[0, 64, 128, 255]], levels=256).quantize(np.int64(4))
+        assert q.pixels.tolist() == [[0, 1, 2, 3]] and type(q.levels) is int
+
     def test_pixels_read_only(self):
         img = GrayImage([[0, 1]], levels=2)
         with pytest.raises(ValueError):
@@ -111,6 +121,12 @@ class TestOffsets:
         s = SpacingVector(np.int64(2), 45)
         assert s == SpacingVector(2, 45) and hash(s) == hash(SpacingVector(2, 45))
         assert type(s.d) is int
+
+    def test_bool_spacing_stored_as_int(self):
+        s = SpacingVector(True, 0)
+        assert type(s.d) is int and s == SpacingVector(1, 0)
+        with pytest.raises(DomainError, match="d must be an integer >= 1"):
+            SpacingVector(False, 0)
 
     @pytest.mark.parametrize("theta", [np.int64(45), 45.0, np.float64(45.0), np.uint8(45)])
     def test_theta_stored_as_int(self, theta):
@@ -214,6 +230,40 @@ class TestGlcp:
         with pytest.raises(DomainError, match=r"must form a square matrix, got shape") as err:
             Glcm(counts=np.ones(shape, dtype=np.int64), spacing=SpacingVector(1, 0))
         assert "\n" not in str(err.value)
+
+
+class TestLargeCounts:
+    """A matrix's counts are summed exactly, and totals k / N cannot hold are refused."""
+
+    @pytest.mark.parametrize("counts", [
+        np.array([[2**62, 2**62], [0, 2**62]], dtype=np.int64),  # wrapped past 2**63
+        np.array([[2**63, 2**63], [0, 1]], dtype=np.uint64),  # wrapped to a total of 1
+        np.array([[2**52, 2**52], [0, 0]], dtype=np.int64)])  # the first refused total
+    def test_total_from_2_to_the_53_refused(self, counts):
+        g = Glcm(counts=counts, spacing=SpacingVector(1, 0))
+        for feature in (lambda g: g.total, glcp, correlation,
+                        lambda g: glcm_entropy(g, EntropyMeasure("proposed"))):
+            with pytest.raises(DomainError, match=r"must total below 2\*\*53, got \d+$"):
+                feature(g)
+
+    def test_total_just_below_2_to_the_53(self):
+        g = Glcm(counts=np.array([[2**52, 2**52 - 1], [0, 0]]), spacing=SpacingVector(1, 0))
+        assert g.total == 2**53 - 1 and type(g.total) is int
+        value = glcm_entropy(g, EntropyMeasure("proposed"))
+        assert E1 <= value <= 1.0
+
+    @pytest.mark.parametrize("pairs, refused", [(2**45, False), (2**50, True)])
+    def test_correlation_refuses_moments_past_int64(self, pairs, refused):
+        # Pairs at (0, 0) and (255, 255) alone correlate perfectly; with 2**50
+        # of each the int64 moments wrapped and the variance read zero.
+        counts = np.zeros((256, 256), dtype=np.int64)
+        counts[0, 0] = counts[255, 255] = pairs
+        g = Glcm(counts=counts, spacing=SpacingVector(1, 0))
+        if refused:
+            with pytest.raises(DomainError, match=r"N \* \(L - 1\)\*\*2 below 2\*\*63"):
+                correlation(g)
+        else:
+            assert correlation(g) == 1.0
 
 
 class TestCorrelation:

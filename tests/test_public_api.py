@@ -1,0 +1,26 @@
+"""Every public name of a module, and every ``tx.<name>`` the README cites,
+is importable from the package."""
+
+import importlib
+import pkgutil
+import re
+from pathlib import Path
+
+import pytest
+
+import texent
+
+MODULES = sorted(m.name for m in pkgutil.iter_modules(texent.__path__))
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_module_public_names_are_reexported(module):
+    names = getattr(importlib.import_module(f"texent.{module}"), "__all__", ())
+    assert [n for n in names if not hasattr(texent, n)] == []
+
+
+def test_readme_names_exist():
+    cited = set(re.findall(r"\btx\.([A-Za-z_]\w*)", README.read_text(encoding="utf-8")))
+    assert cited
+    assert sorted(n for n in cited if not hasattr(texent, n)) == []
