@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import csv
+import io
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -133,8 +135,8 @@ def classify(model: TrainedModel, features) -> str:
         raise DomainError(
             f"feature vector has shape {vec.shape}, model expects ({model.dim},)"
         )
-    if np.isnan(vec).any():
-        raise DomainError(f"feature vector has a NaN value: {vec.tolist()}")
+    if not np.isfinite(vec).all():
+        raise DomainError(f"feature vector has a NaN or infinite value: {vec.tolist()}")
     names = tuple(sorted(set(model.labels)))
     return names[_predict(model.points, _codes(model.labels, names), vec[np.newaxis])[0]]
 
@@ -265,12 +267,14 @@ def report_table(pairs: dict[str, tuple[EvalReport, EvalReport]]) -> str:
     """
     reports = [r for pair in pairs.values() for r in pair]
     classes = sorted(set().union(*(r.per_class_accuracy for r in reports)))
-    lines = [",".join(["class"] + [f"{name}_{s}" for name in pairs for s in ("v", "cv")])]
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["class"] + [f"{name}_{s}" for name in pairs for s in ("v", "cv")])
     for label in classes:
         accs = (r.per_class_accuracy.get(label) for r in reports)
-        lines.append(",".join([label] + ["" if a is None else sig15(a) for a in accs]))
-    lines.append(",".join(["average"] + [sig15(r.average_accuracy) for r in reports]))
-    return "\n".join(lines) + "\n"
+        writer.writerow([label] + ["" if a is None else sig15(a) for a in accs])
+    writer.writerow(["average"] + [sig15(r.average_accuracy) for r in reports])
+    return out.getvalue()
 
 
 def report_csv(validation: EvalReport, cross: EvalReport) -> str:

@@ -138,7 +138,7 @@ def load_pgm(data: bytes) -> GrayImage:
     m = _token(data, 0)
     magic, start, pos = m[1], m.start(1), m.end()
     if magic not in (b"P5", b"P2"):
-        if magic in (b"P1", b"P2", b"P3", b"P4", b"P5", b"P6", b"P7"):
+        if magic in (b"P1", b"P3", b"P4", b"P6", b"P7"):
             raise PgmError(
                 f"unsupported format {magic.decode('ascii')}; expected P5 or P2",
                 offset=start,

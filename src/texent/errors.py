@@ -5,6 +5,15 @@ status 1; PGM parse errors map to exit status 2 together with plain I/O
 failures.
 """
 
+__all__ = [
+    "TexentError",
+    "DomainError",
+    "DegenerateNormalizationError",
+    "EmptyGlcmError",
+    "DegenerateVarianceError",
+    "PgmError",
+]
+
 
 class TexentError(Exception):
     """Base class for all errors raised by this package."""

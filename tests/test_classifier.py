@@ -1,5 +1,7 @@
 """Unit tests for the nearest-neighbor and nearest-centroid classifiers."""
 
+import csv
+import io
 import tracemalloc
 from unittest import mock
 
@@ -77,11 +79,13 @@ class TestClassify:
         with pytest.raises(DomainError, match="NaN"):
             classify(model, [float("nan")])
 
+    @pytest.mark.parametrize("kind", ["1nn", "centroid"])
     @pytest.mark.parametrize("bad", [float("inf"), -float("inf")])
-    def test_infinite_query_ties_to_smallest_label(self, bad):
-        # Every squared distance is inf, so every point ties.
-        model = train(_set([("b", "t0", [0.0]), ("a", "t1", [1.0])]), "1nn")
-        assert classify(model, [bad]) == "a"
+    def test_infinite_query_rejected(self, kind, bad):
+        # Every squared distance would be inf, so every point would tie.
+        model = train(_set([("b", "t0", [0.0, 0.0]), ("a", "t1", [1.0, 1.0])]), kind)
+        with pytest.raises(DomainError, match="infinite"):
+            classify(model, [bad, 0.0])
 
     def test_invariant_under_positive_affine_rescale(self):
         rng = np.random.default_rng(17)
@@ -180,6 +184,13 @@ class TestReportCsv:
         assert lines[0] == "class,m1_v,m1_cv,m2_v,m2_cv"
         # Only the report tested on fs_a has a b row; only the one tested on fs_b a c row.
         assert lines[1:] == ["a,1,1,1,1", "b,,0,,0", "c,0,,0,", "average,0.5,0.5,0.5,0.5"]
+
+    def test_labels_are_csv_quoted(self):
+        fs = _set([("a,b", "t0", [0.0]), ('say "c"', "t1", [1.0])])
+        pair = two_way(fs, fs, "1nn")
+        rows = list(csv.reader(io.StringIO(report_table({"m1": pair, "m2": pair}))))
+        assert [len(row) for row in rows] == [5] * 4
+        assert [row[0] for row in rows] == ["class", "a,b", 'say "c"', "average"]
 
 
 class TestMeanReport:

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
 import argparse
+import csv
 import os
 
 import numpy as np
@@ -317,6 +318,16 @@ class TestClassifyCommand:
             "noise", "stripes", "average"]
         assert lines[-1] == "average,1,1"
         assert "average_v=1" in capsys.readouterr().out
+
+    def test_report_quotes_labels_as_the_feature_table_does(self, corpus, tmp_path):
+        (corpus / "noise").rename(corpus / "noise, grainy")
+        report, features = tmp_path / "report.csv", tmp_path / "features.csv"
+        assert run(["classify", "--train", str(corpus), "--dist", "2", "--levels", "16",
+                    "--report", str(report), "--features-out", str(features)]) == 0
+        rows = list(csv.reader(report.read_text().splitlines()))
+        assert [len(row) for row in rows] == [3] * 4
+        labels = sorted({r.label for r in read_feature_csv(features).records})
+        assert [row[0] for row in rows[1:-1]] == labels == ["noise, grainy", "stripes"]
 
     @pytest.mark.parametrize("alpha, message", [
         ("inf", "error: alpha must be finite, > 0 and != 1, got inf"),

@@ -14,8 +14,13 @@ usage, help and usage-error text with the exit status: no command,
 required flag, a flag of the wrong type and an unknown flag.  Help is wrapped
 to the terminal width, so those calls run with ``COLUMNS=80``.
 
-The digests were recorded with Python 3.11 and numpy 2.4.6.  A change that
-moves an output byte on purpose updates the digest here and says why.
+The digests were recorded with Python 3.11 and numpy 2.4.6, whose SIMD
+kernels dispatched to X86_V3, X86_V4, AVX512_ICL and AVX512_SPR (AVX-512).
+Under another dispatch numpy's ``exp``, ``log``, ``expm1`` and ``power`` may
+round differently: with the AVX-512 targets disabled, ``entropy-drange``
+prints a last digit one higher and fails here.  A failing case names the
+running numpy version and dispatch.  A change that moves an output byte on
+purpose updates the digest here and says why.
 
 Moved on purpose since: the feature CSVs of ``fbim-proposed``,
 ``fbim-correlation`` and every ``classify``/``compare`` case with
@@ -160,6 +165,14 @@ def _digest(inputs, out_dir, name, threads, capsys):
     return h.hexdigest()
 
 
+def _numpy_scope():
+    """The running numpy version and the SIMD targets its kernels dispatch to."""
+    umath = getattr(getattr(np, "_core", None), "_multiarray_umath", None)
+    found = getattr(umath, "__cpu_features__", {})
+    targets = [t for t in getattr(umath, "__cpu_dispatch__", ()) if found.get(t, True)]
+    return f"numpy {np.__version__}, dispatch {' '.join(targets) or 'unknown'}"
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_output(inputs, tmp_path, capsys, name):
     if CASES[name][2]:
@@ -167,7 +180,9 @@ def test_golden_output(inputs, tmp_path, capsys, name):
         assert one == two, "--threads 1 and --threads 2 wrote different bytes"
     else:
         one = _digest(inputs, tmp_path / "out", name, None, capsys)
-    assert one == GOLDEN[name]
+    assert one == GOLDEN[name], (
+        f"digest differs under {_numpy_scope()}; recorded under numpy 2.4.6, "
+        "dispatch X86_V3 X86_V4 AVX512_ICL AVX512_SPR")
 
 
 COMMANDS = ("tile", "glcm", "entropy", "fbim", "classify", "compare")
