@@ -130,7 +130,10 @@ def classify(model: TrainedModel, features) -> str:
 
     Exact distance ties break to the lexicographically smallest label.
     """
-    vec = np.asarray(features, dtype=np.float64)
+    try:
+        vec = np.asarray(features, dtype=np.float64)
+    except (TypeError, ValueError):  # a non-numeric or ragged vector
+        raise DomainError(f"feature vector must be a sequence of reals, got {features!r}") from None
     if vec.shape != (model.dim,):
         raise DomainError(
             f"feature vector has shape {vec.shape}, model expects ({model.dim},)"
@@ -250,6 +253,8 @@ def repeated_cross_validate(
 
 def mean_report(reports: Sequence[EvalReport]) -> EvalReport:
     """Mean accuracies and summed confusions of reports over the same classes."""
+    if not reports:
+        raise DomainError("no reports to average")
     n = len(reports)
     per_class = {label: sum(r.per_class_accuracy[label] for r in reports) / n
                  for label in reports[0].per_class_accuracy}

@@ -25,8 +25,8 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from ._text import sig15
-from .errors import DomainError, PgmError
-from .glcm import GrayImage, SpacingVector, check_threads, compute_glcm, glcp
+from .errors import DomainError, PgmError, _integer
+from .glcm import GrayImage, SpacingVector, compute_glcm, glcp
 from .measures import EntropyMeasure, apply_measure
 
 __all__ = [
@@ -203,11 +203,7 @@ def tile(img: GrayImage, size: int) -> list[GrayImage]:
 
     Both image dimensions must be divisible by ``size``.
     """
-    if not isinstance(size, numbers.Integral):
-        raise DomainError(f"tile size must be an integer, got {size!r}")
-    size = int(size)
-    if size < 1:
-        raise DomainError(f"tile size must be >= 1, got {size}")
+    size = _integer(size, "tile size", 1)
     if img.width % size or img.height % size:
         raise DomainError(
             f"image {img.width}x{img.height} is not divisible into {size}x{size} tiles"
@@ -222,9 +218,9 @@ def tile(img: GrayImage, size: int) -> list[GrayImage]:
 
 def _distance_list(distances) -> list[int]:
     ds = list(distances) if isinstance(distances, Iterable) else [distances]
-    if not ds or not all(isinstance(d, numbers.Integral) and d >= 1 for d in ds):
-        raise DomainError(f"distances must be integers >= 1, got {distances!r}")
-    return [int(d) for d in ds]
+    if not ds:
+        raise DomainError(f"distances must list at least one distance, got {distances!r}")
+    return [_integer(d, "distance", 1) for d in ds]
 
 
 def _feature_spacings(distances: Sequence[int]) -> list[list[SpacingVector]]:
@@ -278,10 +274,13 @@ class LabeledFeatureSet:
     __slots__ = ("_records",)
 
     def __init__(self, records: Iterable):
-        recs = tuple(
-            Record(str(label), str(source), tuple(float(x) for x in features))
-            for label, source, features in records
-        )
+        recs = []
+        for label, source, features in records:
+            try:
+                recs.append(Record(str(label), str(source), tuple(map(float, features))))
+            except (TypeError, ValueError):  # not a sequence, or a non-numeric value
+                raise DomainError(f"tile {label}/{source} needs a sequence of real feature "
+                                  f"values, got {features!r}") from None
         dim = len(recs[0].features) if recs else 0
         for r in recs:
             if len(r.features) != dim:
@@ -291,7 +290,7 @@ class LabeledFeatureSet:
                 )
             if not all(map(math.isfinite, r.features)):
                 raise DomainError(f"tile {r.label}/{r.source} has a non-finite feature value")
-        self._records = recs
+        self._records = tuple(recs)
 
     @property
     def records(self) -> tuple[Record, ...]:
@@ -303,10 +302,8 @@ class LabeledFeatureSet:
 
     def by_class(self) -> dict[str, list[Record]]:
         """Records grouped per label, labels ascending, input order kept."""
-        groups: dict[str, list[Record]] = {lbl: [] for lbl in self.class_labels()}
-        for r in self._records:
-            groups[r.label].append(r)
-        return groups
+        return {label: [self._records[i] for i in members]
+                for label, members in _class_members(self).items()}
 
     def __len__(self) -> int:
         return len(self._records)
@@ -326,20 +323,13 @@ class SplitSpec:
     fraction: float = 0.5
 
     def __post_init__(self):
-        object.__setattr__(self, "seed", _seed_int(self.seed))
+        object.__setattr__(self, "seed", _integer(self.seed, "seed"))
         if not isinstance(self.fraction, numbers.Real) or not 0.0 < self.fraction < 1.0:
             raise DomainError(f"fraction must lie in (0, 1), got {self.fraction!r}")
 
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
-
-
-def _seed_int(seed) -> int:
-    # A NumPy integer becomes an int, so that masking it cannot overflow.
-    if not isinstance(seed, numbers.Integral):
-        raise DomainError(f"seed must be an integer, got {seed!r}")
-    return int(seed)
 
 
 def _mix(z):
@@ -361,7 +351,7 @@ class SplitMix64:
     __slots__ = ("_state",)
 
     def __init__(self, seed: int):
-        self._state = _seed_int(seed) & _MASK64
+        self._state = _integer(seed, "seed") & _MASK64  # an int, so masking cannot overflow
 
     def next(self) -> int:
         self._state = (self._state + _GAMMA) & _MASK64
@@ -490,7 +480,7 @@ def build_feature_sets(
     an integer >= 1 and has no other effect.
     """
     spacings = _feature_spacings(_distance_list(distances))
-    check_threads(threads)
+    _integer(threads, "threads", 1)
     items = list(items)  # read twice: once for features, once for labels
     per_tile = [_extract_multi(img, measures, spacings, symmetric) for _, _, img in items]
 

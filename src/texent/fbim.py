@@ -9,15 +9,14 @@ ridges of extreme feature values line up with the texture period.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._text import sig15
-from .errors import DomainError
-from .glcm import (ANGLES, GrayImage, SpacingVector, _correlations, check_threads,
-                   compute_glcm, glcm_entropy)
+from .errors import DomainError, _integer
+from .glcm import (ANGLES, GrayImage, SpacingVector, _correlations, compute_glcm,
+                   glcm_entropy)
 from .measures import EntropyMeasure
 
 __all__ = ["CORRELATION", "Fbim", "compute_fbim", "fbim_to_image", "fbim_to_csv"]
@@ -62,12 +61,8 @@ def compute_fbim(
     an entropy map cell by cell, both on the calling thread.  ``threads``
     must be an integer >= 1 and has no other effect.
     """
-    if not isinstance(d_max, numbers.Integral):
-        raise DomainError(f"d_max must be an integer, got {d_max!r}")
-    d_max = int(d_max)  # a bool or a NumPy integer, say
-    if d_max < 1:
-        raise DomainError(f"d_max must be >= 1, got {d_max}")
-    check_threads(threads)
+    d_max = _integer(d_max, "d_max", 1)
+    _integer(threads, "threads", 1)
     if isinstance(feature, EntropyMeasure):
         name = feature.kind
     elif isinstance(feature, str) and feature == CORRELATION:

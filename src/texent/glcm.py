@@ -10,12 +10,11 @@ measures and the correlation feature operate.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateVarianceError, DomainError, EmptyGlcmError
+from .errors import DegenerateVarianceError, DomainError, EmptyGlcmError, _integer
 from .measures import EntropyMeasure, ProbDist, apply_measure
 
 __all__ = [
@@ -62,7 +61,7 @@ class GrayImage:
             raise DomainError("pixels must form a non-empty 2-D array")
         if not np.issubdtype(arr.dtype, np.integer):
             raise DomainError(f"pixels must be integers, got dtype {arr.dtype}")
-        levels = _level_count(levels)
+        levels = _integer(levels, "levels", 2, 256)
         lo, hi = int(arr.min()), int(arr.max())
         if lo < 0 or hi >= levels:
             raise DomainError(
@@ -91,7 +90,7 @@ class GrayImage:
 
     def quantize(self, levels: int) -> "GrayImage":
         """Down-quantize to fewer gray bins (v -> v * levels // old_levels)."""
-        levels = _level_count(levels)
+        levels = _integer(levels, "levels", 2, 256)
         if levels == self._levels:
             return self
         if levels > self._levels:
@@ -104,12 +103,6 @@ class GrayImage:
         return f"GrayImage({self.width}x{self.height}, levels={self._levels})"
 
 
-def _level_count(levels) -> int:
-    if not isinstance(levels, numbers.Integral) or not 2 <= levels <= 256:
-        raise DomainError(f"levels must be an integer in [2, 256], got {levels!r}")
-    return int(levels)  # a NumPy integer or a bool, say
-
-
 @dataclass(frozen=True)
 class SpacingVector:
     """Displacement magnitude d (pixels) at one of the eight angles."""
@@ -118,10 +111,8 @@ class SpacingVector:
     theta: int
 
     def __post_init__(self):
-        if type(self.d) is not int and isinstance(self.d, numbers.Integral):
-            object.__setattr__(self, "d", int(self.d))  # a NumPy integer or a bool, say
-        if not isinstance(self.d, int) or self.d < 1:
-            raise DomainError(f"d must be an integer >= 1, got {self.d!r}")
+        if (d := _integer(self.d, "d", 1)) is not self.d:  # a NumPy integer or a bool, say
+            object.__setattr__(self, "d", d)
         if self.theta not in ANGLES:
             raise DomainError(f"theta must be one of {ANGLES}, got {self.theta!r}")
         object.__setattr__(self, "theta", ANGLES[ANGLES.index(self.theta)])  # as an int
@@ -459,11 +450,3 @@ def glcm_entropy(g: Glcm, measure: EntropyMeasure) -> float:
     included, as its n.
     """
     return apply_measure(measure, glcp(g))
-
-
-def check_threads(threads) -> None:
-    """Raise :class:`DomainError` unless ``threads`` is an integer >= 1."""
-    if not isinstance(threads, numbers.Integral):
-        raise DomainError(f"threads must be an integer, got {threads!r}")
-    if threads < 1:
-        raise DomainError(f"threads must be >= 1, got {threads}")

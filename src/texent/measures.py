@@ -27,7 +27,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import DegenerateNormalizationError, DomainError
+from .errors import DegenerateNormalizationError, DomainError, _integer
 
 __all__ = [
     "H_MIN",
@@ -66,7 +66,7 @@ def _checked(values: Iterable[float], ndim: int, what: str) -> np.ndarray:
     arr = np.ascontiguousarray(values, dtype=np.float64)
     if arr.ndim != ndim or arr.size == 0:
         raise DomainError(f"{what} must be a non-empty {ndim}-D array of reals")
-    if np.any(arr < 0.0) or np.any(arr > 1.0 + _ELEM_TOL):
+    if not np.all((arr >= 0.0) & (arr <= 1.0 + _ELEM_TOL)):  # NaN fails both
         raise DomainError(f"{what} entries must lie in [0, 1]")
     total = float(arr.sum())
     if abs(total - 1.0) > PROB_SUM_TOL:
@@ -81,11 +81,12 @@ def _rescaled(weights, ndim: int) -> np.ndarray:
     arr = np.ascontiguousarray(weights, dtype=np.float64)
     if arr.ndim != ndim or arr.size == 0:
         raise DomainError(f"weights must be a non-empty {ndim}-D array of reals")
-    if np.any(arr < 0.0):
-        raise DomainError("weights must be non-negative")
-    total = float(arr.sum())
-    if total <= 0.0:
-        raise DomainError("weights must have a positive total")
+    if not np.all((arr >= 0.0) & (arr < math.inf)):  # NaN fails both
+        raise DomainError("weights must be non-negative and finite")
+    with np.errstate(over="ignore"):  # a total past the float range is rejected below
+        total = float(arr.sum())
+    if not 0.0 < total < math.inf:
+        raise DomainError("weights must have a positive, finite total")
     return arr / total
 
 
@@ -120,7 +121,7 @@ class ProbDist:
 
     @classmethod
     def normalize(cls, weights: Iterable[float]) -> "ProbDist":
-        """Explicitly rescale non-negative weights to a unit-sum distribution."""
+        """Explicitly rescale finite non-negative weights to a unit-sum distribution."""
         return cls(_rescaled(weights, 1))
 
     @property
@@ -163,7 +164,7 @@ class JointDist:
 
     @classmethod
     def normalize(cls, weights) -> "JointDist":
-        """Explicitly rescale a non-negative matrix to total mass 1."""
+        """Explicitly rescale a finite non-negative matrix to total mass 1."""
         return cls(_rescaled(weights, 2))
 
     @property
@@ -291,8 +292,7 @@ def entropy_bounds(n: int) -> tuple[float, float]:
     The minimum exp(-1) is attained by a one-hot distribution, the maximum
     exp(-1/n**2) by the uniform one.
     """
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
+    n = _integer(n, "n", 1)
     return H_MIN, math.exp(-1.0 / (n * n))
 
 

@@ -16,7 +16,6 @@ from texent import (
     build_feature_sets,
     compute_fbim,
 )
-from texent.glcm import check_threads
 
 MEASURES = {"h": EntropyMeasure("shannon"), "p": EntropyMeasure("proposed")}
 
@@ -94,5 +93,10 @@ def test_first_failing_tile_is_raised_and_later_tiles_are_not_evaluated(monkeypa
 
 
 @pytest.mark.parametrize("threads", [1, 2, 64, np.int64(3)])
-def test_check_threads_accepts_positive_integers(threads):
-    check_threads(threads)
+def test_threads_accepts_positive_integers(threads):
+    items = [("a", "t0", noise_image(8, 8, seed=1))]
+    got, want = (build_feature_sets(items, MEASURES, 1, threads=t) for t in (threads, 1))
+    assert all(got[key].records == want[key].records for key in MEASURES)
+    img = noise_image(8, 8, seed=1)
+    assert compute_fbim(img, CORRELATION, d_max=2, threads=threads).values.tobytes() == \
+        compute_fbim(img, CORRELATION, d_max=2).values.tobytes()

@@ -193,6 +193,21 @@ class TestReportCsv:
         assert [row[0] for row in rows] == ["class", "a,b", 'say "c"', "average"]
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda m: classify(m, ["x"]), r"^feature vector must be a sequence of reals, got \['x'\]$"),
+    (lambda m: classify(m, [[1, 2], [3]]), "^feature vector must be a sequence of reals, got "),
+    (lambda m: LabeledFeatureSet([("a", "t", ["x"])]),
+     r"^tile a/t needs a sequence of real feature values, got \['x'\]$"),
+    (lambda m: LabeledFeatureSet([("a", "t", 1.0)]),
+     "^tile a/t needs a sequence of real feature values, got 1.0$"),
+    (lambda m: mean_report([]), "^no reports to average$"),
+], ids=["classify-str", "classify-ragged", "set-str", "set-scalar", "mean-empty"])
+def test_non_numeric_features_rejected(call, message):
+    model = train(_set([("a", "t0", [0.0]), ("b", "t1", [1.0])]), "1nn")
+    with pytest.raises(DomainError, match=message):
+        call(model)
+
+
 class TestMeanReport:
     def test_mean_of_one_report_is_that_report(self):
         fs = _set([(f"c{i % 3}", f"t{i}", [float(i % 4)]) for i in range(12)])

@@ -276,7 +276,7 @@ class TestTile:
 
     @pytest.mark.parametrize("size", [2.5, 4.0, "4", None])
     def test_non_integer_size_rejected(self, size):
-        with pytest.raises(DomainError, match="^tile size must be an integer, got "):
+        with pytest.raises(DomainError, match="^tile size must be an integer >= 1, got "):
             tile(noise_image(8, 8, seed=4), size)
 
     def test_numpy_size_tiles_as_the_equal_int(self):
@@ -333,7 +333,7 @@ class TestExtractFeature:
                              ids=repr)
     def test_non_integer_distances_rejected(self, distances):
         img = noise_image(8, 8, seed=8)
-        with pytest.raises(DomainError, match="distances must be integers >= 1"):
+        with pytest.raises(DomainError, match="^distance must be an integer >= 1, got "):
             extract_feature(img, EntropyMeasure("proposed"), distances)
 
     def test_numpy_integer_distances_accepted(self):
@@ -553,8 +553,8 @@ class TestLabeledCorpus:
         (2.0, "threads must be an integer"),
         ("2", "threads must be an integer"),
         (None, "threads must be an integer"),
-        (0, "threads must be >= 1, got 0"),
-        (-5, "threads must be >= 1, got -5"),
+        (0, "threads must be an integer >= 1, got 0"),
+        (-5, "threads must be an integer >= 1, got -5"),
     ])
     def test_build_feature_sets_threads_rejected(self, threads, message):
         items = [("a", "t0", noise_image(8, 8, seed=1))]

@@ -56,7 +56,7 @@ class TestComputeFbim:
         compute_fbim(img, EntropyMeasure("proposed"), d_max=15)
 
     def test_dmax_below_one(self):
-        with pytest.raises(DomainError, match="d_max must be >= 1, got 0"):
+        with pytest.raises(DomainError, match="d_max must be an integer >= 1, got 0"):
             compute_fbim(noise_image(8, 8, seed=2), EntropyMeasure("proposed"), d_max=0)
 
     @pytest.mark.parametrize("d_max", [3.0, 2.5, "3", None])
@@ -79,7 +79,7 @@ class TestComputeFbim:
     @pytest.mark.parametrize("threads", [0, -5])
     @pytest.mark.parametrize("feature", [CORRELATION, HN], ids=["correlation", "entropy"])
     def test_threads_below_one(self, feature, threads):
-        with pytest.raises(DomainError, match=f"threads must be >= 1, got {threads}"):
+        with pytest.raises(DomainError, match=f"threads must be an integer >= 1, got {threads}"):
             compute_fbim(noise_image(8, 8, seed=2), feature, d_max=3, threads=threads)
 
     @pytest.mark.parametrize("threads", [1.5, "2", None])

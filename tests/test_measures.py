@@ -90,6 +90,23 @@ class TestProbDist:
         with pytest.raises(DomainError, match=message):
             ProbDist.normalize(weights)
 
+    @pytest.mark.parametrize("make, values", [
+        (ProbDist, [0.5, math.nan, 0.5]),
+        (ProbDist, [math.nan]),
+        (ProbDist, [math.inf, 0.0]),
+        (ProbDist.normalize, [1.0, math.inf]),
+        (ProbDist.normalize, [math.nan, 1.0]),
+        (JointDist, [[0.5, math.nan], [0.5, 0.0]]),
+        (JointDist, [[1.0, -math.inf], [0.0, 0.0]]),
+        (JointDist.normalize, [[1.0, math.inf], [0.0, 0.0]]),
+        (JointDist.normalize, [[math.nan, 1.0], [0.0, 0.0]]),
+        (ProbDist.normalize, [1e308, 1e308]),  # finite weights, total past the float range
+    ], ids=lambda x: getattr(x, "__qualname__", None))
+    def test_non_finite_rejected(self, make, values):
+        with pytest.raises(DomainError, match="must lie in|must be non-negative and finite|"
+                                              "must have a positive, finite total"):
+            make(values)
+
     def test_probs_read_only(self):
         p = ProbDist([0.5, 0.5])
         with pytest.raises(ValueError):
