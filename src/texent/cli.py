@@ -217,6 +217,10 @@ def _cmd_fbim(args) -> int:
     img = _quantized(dataset.read_pgm(args.image), args.levels)
     feature = (args.feature if args.feature == fbim.CORRELATION
                else measures.EntropyMeasure.select(args.feature, args.alpha, args.q))
+    side = min(img.width, img.height)
+    if args.dmax >= side:
+        raise DomainError(f"--dmax must be below the smallest image side {side}, "
+                          f"got {args.dmax}")
     f = fbim.compute_fbim(img, feature, d_max=args.dmax,
                           symmetric=args.symmetric, threads=args.threads)
     dataset.write_pgm(args.out, fbim.fbim_to_image(f))

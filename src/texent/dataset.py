@@ -216,8 +216,13 @@ def tile(img: GrayImage, size: int) -> list[GrayImage]:
     return tiles
 
 
+#: Iterable, but one value: iterating would read each character as a number.
+_TEXT = (str, bytes, bytearray)
+
+
 def _distance_list(distances) -> list[int]:
-    ds = list(distances) if isinstance(distances, Iterable) else [distances]
+    one = isinstance(distances, _TEXT) or not isinstance(distances, Iterable)
+    ds = [distances] if one else list(distances)
     if not ds:
         raise DomainError(f"distances must list at least one distance, got {distances!r}")
     return [_integer(d, "distance", 1) for d in ds]
@@ -277,8 +282,10 @@ class LabeledFeatureSet:
         recs = []
         for label, source, features in records:
             try:
+                if isinstance(features, _TEXT):
+                    raise TypeError
                 recs.append(Record(str(label), str(source), tuple(map(float, features))))
-            except (TypeError, ValueError):  # not a sequence, or a non-numeric value
+            except (TypeError, ValueError):  # not a sequence of numbers, or a non-numeric value
                 raise DomainError(f"tile {label}/{source} needs a sequence of real feature "
                                   f"values, got {features!r}") from None
         dim = len(recs[0].features) if recs else 0

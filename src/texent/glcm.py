@@ -132,19 +132,20 @@ class Glcm:
     Glcm made by :func:`compute_glcm` keeps only its tally of the pair codes
     i * L + j; :attr:`cells`, its nonzero cells, and ``counts`` (read-only)
     are built from it on first access.  A Glcm constructed from a square
-    matrix finds its cells in it, and every feature of one whose counts are
-    not integers, include a negative one, or total 2**53 or more, raises
-    :class:`DomainError`.
+    matrix keeps a read-only copy of it and finds its cells there; every
+    feature of one whose counts are not integers, include a negative one, or
+    total 2**53 or more, raises :class:`DomainError`.
     """
 
     __slots__ = ("_spacing", "_levels", "_counts", "_cells", "_total", "_tally", "_binned")
 
     def __init__(self, counts, spacing: SpacingVector):
-        counts = np.asarray(counts)
+        counts = np.array(counts)
         if counts.ndim != 2 or counts.shape[0] != counts.shape[1]:
             raise DomainError(
                 f"co-occurrence counts must form a square matrix, got shape {counts.shape}"
             )
+        counts.setflags(write=False)
         self._counts = counts
         self._levels = counts.shape[0]
         self._spacing = spacing
@@ -337,12 +338,15 @@ def _correlations(img: GrayImage, spacings, symmetric: bool) -> list[float]:
 
     The integer moments of all spacings come from the whole image at once:
     sum(i) and sum(i**2) over each pixel block are box sums over summed-area
-    tables of the pixels and of their squares.  sum(i*j) at every offset is
-    read off one zero-padded FFT autocorrelation, rounded to the nearest
-    integer, while its worst-case error (:func:`_autocorrelation_error_bound`)
-    is below 1/4; past that it is summed exactly, one offset at a time.
-    Each value is then formed as :func:`correlation` forms it, so the two
-    agree bit for bit.
+    tables of the pixels and of their squares.  For sum(i*j) the rows are laid
+    end to end in one float64 array, each followed by pad = max|dx| zeros, so
+    the pairs at offset (dy, dx) are the products at distance
+    k = |dy * (w + pad) + dx| in it.  No other two pixels lie k apart: their
+    column step would be dx + (w + pad) or dx - (w + pad), at least w in size.
+    Every product is an integer of at most 255**2, so any sum of them is exact
+    below 2**53, that is for images of up to 1.38e11 pixels, whose int64 copy
+    here would take over 1 TB.  Each value is then formed as
+    :func:`correlation` forms it, so the two agree bit for bit.
     """
     px = img.pixels.astype(np.int64)
     sq = px * px
@@ -352,15 +356,14 @@ def _correlations(img: GrayImage, spacings, symmetric: bool) -> list[float]:
     # The pairs (a, b) of compute_glcm's two blocks; b is a shifted by (dy, dx).
     r0, r1 = np.maximum(-dy, 0), h - np.maximum(dy, 0)
     c0, c1 = np.maximum(-dx, 0), w - np.maximum(dx, 0)
-    lag = int(np.abs(offsets).max())
-    # Padding by the largest lag keeps the circular correlation from wrapping;
-    # 5-smooth sides keep every FFT pass a small butterfly.
-    shape = (_five_smooth(h + lag), _five_smooth(w + lag))
-    if _autocorrelation_error_bound(shape, int(sq.sum())) < 0.25:
-        sab = np.rint(_autocorrelation(px, shape)[dy % shape[0], dx % shape[1]]).astype(np.int64)
-    else:
-        sab = np.array([(px[y0:y1, x0:x1] * px[y0 + y:y1 + y, x0 + x:x1 + x]).sum()
-                        for y0, y1, x0, x1, y, x in zip(r0, r1, c0, c1, dy, dx)])
+    row = w + int(np.abs(dx).max())
+    flat = np.zeros((h, row))
+    flat[:, :w] = px
+    flat = flat.ravel()
+    # einsum, not `@`: BLAS splits a long dot product over threads, and waking
+    # them stalled one map in a hundred by about 12 ms on a busy 2-CPU machine.
+    sab = np.array([int(np.einsum("i,i", flat[:flat.size - k], flat[k:]))
+                    for k in np.abs(dy * row + dx).tolist()])
 
     n = (r1 - r0) * (c1 - c0)
     sums, squares = _summed_area(px), _summed_area(sq)
@@ -371,26 +374,6 @@ def _correlations(img: GrayImage, spacings, symmetric: bool) -> list[float]:
     else:
         moments = (n, sa, sb, saa, sbb, sab)
     return [_pearson(*m) for m in zip(*(col.tolist() for col in moments))]
-
-
-def _autocorrelation(x: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
-    # r[dy, dx] ~ sum(x[p] * x[p + (dy, dx)]) over x zero-padded to shape, the
-    # offsets taken mod shape; in float64, off by at most the error bound.
-    fft = np.fft  # numpy.fft loads on first access, so importing texent skips it
-    spectrum = fft.rfft2(x, shape)
-    return fft.irfft2(spectrum.real ** 2 + spectrum.imag ** 2, shape)
-
-
-def _five_smooth(m: int) -> int:
-    # The least 2**a * 3**b * 5**c >= m.
-    while True:
-        k = m
-        for p in (2, 3, 5):
-            while k % p == 0:
-                k //= p
-        if k == 1:
-            return m
-        m += 1
 
 
 def _summed_area(x: np.ndarray) -> np.ndarray:
@@ -404,43 +387,6 @@ def _summed_area(x: np.ndarray) -> np.ndarray:
 def _box_sums(t: np.ndarray, r0, r1, c0, c1) -> np.ndarray:
     # x[r0:r1, c0:c1].sum() for each box, from the summed-area table t of x.
     return t[r1, c1] - t[r0, c1] - t[r1, c0] + t[r0, c0]
-
-
-_U = 2.0 ** -53  # unit roundoff of float64
-
-
-def _gamma(k: int) -> float:
-    return k * _U / (1 - k * _U)
-
-
-def _autocorrelation_error_bound(shape: tuple[int, int], sum_sq: int) -> float:
-    """Worst-case error of any entry of ``irfft2(|rfft2(x, shape)|**2, shape)``.
-
-    ``sum_sq`` is sum(x**2).  Higham, *Accuracy and Stability of Numerical
-    Algorithms* (2002), Thm 24.2: a k-stage FFT y = F x computes y with
-    ||dy||_2 <= eps ||y||_2, eps = k eta / (1 - k eta), where
-    eta = u + gamma_4 (sqrt(2) + u) when each twiddle factor is within u.  A
-    P x Q transform is taken as k = ceil(log2 P) + ceil(log2 Q) stages, also
-    for the mixed-radix real transforms of ``numpy.fft``.  With n = P Q and
-    E = sum_sq, Parseval gives ||F x||_2 = sqrt(n E), so:
-
-    * the spectrum X is off by at most eps sqrt(n E);
-    * the power S = |X|**2, rounded within gamma_2, is off by at most
-      sigma n E, sigma = eps (2 + eps) + gamma_2 (1 + eps)**2, because
-      ||X_hat|**2 - |X|**2| <= |dX| (2 |X| + |dX|) and ||S||_2 <= ||X||_2**2;
-    * the inverse, whose 1/n scale is one more rounding, adds
-      eps + u (1 + eps) relative to ||S_hat||_2 / sqrt(n).
-
-    The max-norm error is at most the 2-norm error, and the inverse maps
-    ||S||_2 <= n E to sqrt(n) E: the bound is
-    (sigma + (eps + u (1 + eps)) (1 + sigma)) sqrt(n) E.
-    """
-    n = shape[0] * shape[1]
-    stages = sum((m - 1).bit_length() for m in shape)
-    eta = _U + _gamma(4) * (math.sqrt(2) + _U)
-    eps = stages * eta / (1 - stages * eta)
-    sigma = eps * (2 + eps) + _gamma(2) * (1 + eps) ** 2
-    return (sigma + (eps + _U * (1 + eps)) * (1 + sigma)) * math.sqrt(n) * sum_sq
 
 
 def glcm_entropy(g: Glcm, measure: EntropyMeasure) -> float:

@@ -63,7 +63,7 @@ _ELEM_TOL = 1e-12
 
 
 def _checked(values: Iterable[float], ndim: int, what: str) -> np.ndarray:
-    arr = np.ascontiguousarray(values, dtype=np.float64)
+    arr = np.array(values, dtype=np.float64, order="C")  # a copy: the caller's stays writable
     if arr.ndim != ndim or arr.size == 0:
         raise DomainError(f"{what} must be a non-empty {ndim}-D array of reals")
     if not np.all((arr >= 0.0) & (arr <= 1.0 + _ELEM_TOL)):  # NaN fails both

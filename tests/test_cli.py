@@ -304,6 +304,11 @@ class TestFbimCommand:
         write_pgm(src, noise_image(16, 16, seed=5))
         assert run(["fbim", str(src), "--dmax", "31",
                     "--out", str(tmp_path / "m.pgm")]) == 1
+        assert capsys.readouterr().err == \
+            "error: --dmax must be below the smallest image side 16, got 31\n"
+        assert run(["fbim", str(src), "--dmax", "16", "--out", str(tmp_path / "m.pgm")]) == 1
+        assert "got 16\n" in capsys.readouterr().err
+        assert run(["fbim", str(src), "--dmax", "15", "--out", str(tmp_path / "m.pgm")]) == 0
 
 
 class TestClassifyCommand:

@@ -362,6 +362,17 @@ class TestLabeledFeatureSet:
         fs = LabeledFeatureSet([("b", "t", [0.0]), ("a", "t", [0.0])])
         assert fs.class_labels() == ("a", "b")
 
+    @pytest.mark.parametrize("text", ["12", b"\x01\x02", bytearray(b"\x01\x02")], ids=repr)
+    def test_text_is_not_a_sequence_of_numbers(self, text):
+        # Iterated, each character would read as one number: features (1.0, 2.0)
+        # from "12", distances 1 and 2 from b"\x01\x02".
+        got = re.escape(repr(text))
+        with pytest.raises(DomainError, match=f"^tile a/t needs a sequence of real feature "
+                                              f"values, got {got}$"):
+            LabeledFeatureSet([("a", "t", text)])
+        with pytest.raises(DomainError, match=f"^distance must be an integer >= 1, got {got}$"):
+            extract_feature(noise_image(8, 8, seed=8), EntropyMeasure("proposed"), text)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_features_rejected(self, bad):
         with pytest.raises(DomainError, match="^tile b/t1 has a non-finite feature value$"):

@@ -4,7 +4,6 @@ import os
 import subprocess
 import sys
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,7 +11,6 @@ from hypothesis import example, given, settings, strategies as st
 
 import texent
 import texent.fbim
-import texent.glcm
 from conftest import ORDERS, noise_image, stripe_image
 from texent import (
     ANGLES,
@@ -28,11 +26,10 @@ from texent import (
     correlation,
     fbim_to_csv,
     fbim_to_image,
-    offset_of,
 )
 from texent._text import sig15
 from texent.errors import DegenerateVarianceError
-from texent.glcm import _autocorrelation, _autocorrelation_error_bound, _correlations
+from texent.glcm import _correlations
 
 HN = EntropyMeasure("proposed-normalized")
 
@@ -149,21 +146,8 @@ def _per_cell_map(img, d_max, symmetric):
                       for d in range(1, d_max + 1)] for theta in ANGLES])
 
 
-def _refused_bound(shape, sum_sq):
-    return 0.25
-
-
-def _no_autocorrelation(x, shape):
-    raise AssertionError("the FFT autocorrelation was computed")
-
-
 def _half_spacings(d_max):
     return [SpacingVector(d, theta) for theta in ANGLES[:4] for d in range(1, d_max + 1)]
-
-
-#: The largest full-range (all 255) square image whose d_max = 31 correlation
-#: map the FFT error bound admits; README states it.
-FULL_RANGE_SIDE = 446
 
 
 class TestCorrelationFromAutocorrelation:
@@ -178,8 +162,6 @@ class TestCorrelationFromAutocorrelation:
     def test_equals_the_per_cell_path_bit_for_bit(self, seed, h, w, levels, spread, sparse,
                                                   d_max, symmetric):
         # Sparse images are near-constant, so some or all of their cells are NaN.
-        # The map is checked from the FFT and, with the bound refused, from
-        # exact per-offset sums.
         rng = np.random.default_rng(seed)
         px = rng.integers(0, min(spread, levels), size=(h, w))
         if sparse:
@@ -189,10 +171,6 @@ class TestCorrelationFromAutocorrelation:
         expected = _per_cell_map(img, d_max, symmetric).tobytes()
         fast = compute_fbim(img, CORRELATION, d_max=d_max, symmetric=symmetric).values
         assert fast.tobytes() == expected
-        with mock.patch.object(texent.glcm, "_autocorrelation_error_bound", _refused_bound), \
-                mock.patch.object(texent.glcm, "_autocorrelation", _no_autocorrelation):
-            exact = compute_fbim(img, CORRELATION, d_max=d_max, symmetric=symmetric).values
-        assert exact.tobytes() == expected
 
     def test_nan_cells_where_a_block_is_constant(self):
         px = np.zeros((7, 6), dtype=np.int64)
@@ -209,59 +187,32 @@ class TestCorrelationFromAutocorrelation:
         monkeypatch.setattr(texent.fbim, "_cell_feature", no_cell)
         compute_fbim(noise_image(64, 48, seed=8), CORRELATION, d_max=31, threads=2)
 
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_refused_bound_sums_each_offset_exactly(self, threads, monkeypatch):
-        img = noise_image(40, 30, seed=3)
-        expected = compute_fbim(img, CORRELATION, d_max=12, symmetric=True).values
-        monkeypatch.setattr(texent.glcm, "_autocorrelation_error_bound", _refused_bound)
-        monkeypatch.setattr(texent.glcm, "_autocorrelation", _no_autocorrelation)
-        exact = compute_fbim(img, CORRELATION, d_max=12, symmetric=True, threads=threads)
-        assert exact.values.tobytes() == expected.tobytes()
-
-    def test_bound_admits_full_range_128_and_refuses_past_its_side(self, monkeypatch):
+    def test_exact_on_large_bright_images(self):
+        # Past 446x446 full-range pixels at d_max = 31, a float64 FFT
+        # autocorrelation can no longer be rounded to sum(i*j) with certainty;
+        # the dot products stay exact.  A 480x480 image of 254s and 255s,
+        # symmetric, against its per-cell values, and a constant 447x447
+        # image, all NaN.
         spacings = _half_spacings(31)
-        calls = []
-
-        def autocorrelation(x, shape):
-            calls.append(x.shape)
-            return _autocorrelation(x, shape)
-
-        def full_range(side):
-            return GrayImage(np.full((side, side), 255), 256)
-
-        monkeypatch.setattr(texent.glcm, "_autocorrelation", autocorrelation)
-        for side in (128, FULL_RANGE_SIDE, FULL_RANGE_SIDE + 1):
-            assert np.isnan(_correlations(full_range(side), spacings, False)).all()
-        assert calls == [(128, 128), (FULL_RANGE_SIDE, FULL_RANGE_SIDE)]
-        # Past that side the map is made from exact per-offset sums: here a
-        # 480x480 image of 254s and 255s, whose bound is about 0.31.
         rng = np.random.default_rng(4)
         bright = GrayImage(255 - rng.integers(0, 2, size=(480, 480)), 256)
         values = _correlations(bright, spacings, True)
-        assert len(calls) == 2
-        assert values[::10] == [_cell_correlation(bright, s, True) for s in spacings[::10]]
+        assert values == [_cell_correlation(bright, s, True) for s in spacings]
+        full_range = GrayImage(np.full((447, 447), 255), 256)
+        assert np.isnan(_correlations(full_range, spacings, False)).all()
 
-    @pytest.mark.parametrize("px", [
-        np.full((128, 128), 255),
-        noise_image(128, 128, seed=21).pixels,
-        stripe_image(96, 128, period=5, duty=2).pixels,
-    ], ids=["full-range", "noise", "stripes"])
-    def test_observed_error_is_within_the_bound(self, px):
-        px = px.astype(np.int64)
-        h, w = px.shape
-        shape = (h + 31, w + 31)
-        auto = _autocorrelation(px, shape)
-        bound = _autocorrelation_error_bound(shape, int((px * px).sum()))
-        assert bound < 0.25
-        for spacing in _half_spacings(31):
-            dx, dy = offset_of(spacing)
-            a = px[max(-dy, 0):h - max(dy, 0), max(-dx, 0):w - max(dx, 0)]
-            b = px[max(dy, 0):h + min(dy, 0), max(dx, 0):w + min(dx, 0)]
-            assert abs(auto[dy % shape[0], dx % shape[1]] - int((a * b).sum())) <= bound
+    @pytest.mark.parametrize("symmetric", [False, True])
+    def test_vertical_spacings_need_no_padding(self, symmetric):
+        # No spacing at 90 or 270 degrees steps a column, so the rows are laid
+        # end to end unpadded.
+        img = noise_image(17, 23, seed=9)
+        spacings = [SpacingVector(d, theta) for theta in (90, 270) for d in range(1, 23)]
+        assert _correlations(img, spacings, symmetric) == \
+            [_cell_correlation(img, s, symmetric) for s in spacings]
 
     def test_importing_the_cli_leaves_numpy_fft_unloaded(self):
-        # numpy.fft is imported on the first correlation map, not at startup,
-        # and no thread pool is ever loaded.
+        # numpy.fft is never imported, not even by a correlation map, and no
+        # thread pool is ever loaded.
         code = ("import sys, texent.cli\n"
                 "print('numpy.fft' in sys.modules, 'concurrent.futures' in sys.modules)\n"
                 "img = texent.GrayImage([[0, 1], [1, 0]], 2)\n"
@@ -275,7 +226,7 @@ class TestCorrelationFromAutocorrelation:
         env = {**os.environ, "PYTHONPATH": str(src)}
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, check=True).stdout
-        assert out.split() == ["False", "False", "True", "False", "False"]
+        assert out.split() == ["False", "False", "False", "False", "False"]
 
 
 class TestFbimToImage:

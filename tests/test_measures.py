@@ -51,6 +51,18 @@ def _renyi_direct(dist, alpha):
     return float(np.log(np.sum(p**alpha)) / (1.0 - alpha))
 
 
+def test_constructors_copy_the_callers_array():
+    probs, joint, counts = np.array([0.5, 0.5]), np.full((2, 2), 0.25), np.array([[1, 2], [3, 4]])
+    p, j, g = ProbDist(probs), JointDist(joint), Glcm(counts, SpacingVector(1, 0))
+    for given_array, held in ((probs, p.probs), (joint, j.cells), (counts, g.counts)):
+        assert given_array.flags.writeable and not held.flags.writeable
+        assert not np.shares_memory(given_array, held)
+    probs[0], joint[0, 0], counts[0, 0] = 0.9, 0.9, 100
+    assert p.probs.tolist() == [0.5, 0.5] and j.cells.tolist() == [[0.25] * 2] * 2
+    assert g.counts.tolist() == [[1, 2], [3, 4]]
+    assert shannon(glcp(g)) == shannon(glcp(Glcm([[1, 2], [3, 4]], SpacingVector(1, 0))))
+
+
 class TestProbDist:
     def test_accepts_valid(self):
         p = ProbDist([0.25, 0.75])
