@@ -252,13 +252,24 @@ def repeated_cross_validate(
 
 
 def mean_report(reports: Sequence[EvalReport]) -> EvalReport:
-    """Mean accuracies and summed confusions of reports over the same classes."""
+    """Mean accuracies and summed confusions of reports over the same classes.
+
+    Reports whose ``labels`` or tested classes differ raise :class:`DomainError`.
+    """
     if not reports:
         raise DomainError("no reports to average")
+    first = reports[0]
+    tested = tuple(first.per_class_accuracy)
+    for r in reports[1:]:
+        for what, ours, theirs in (("cover", first.labels, r.labels),
+                                   ("test", tested, tuple(r.per_class_accuracy))):
+            if ours != theirs:
+                raise DomainError(f"reports must {what} the same classes, "
+                                  f"got {list(ours)} and {list(theirs)}")
     n = len(reports)
     per_class = {label: sum(r.per_class_accuracy[label] for r in reports) / n
-                 for label in reports[0].per_class_accuracy}
-    return EvalReport(labels=reports[0].labels,
+                 for label in first.per_class_accuracy}
+    return EvalReport(labels=first.labels,
                       confusion=np.sum([r.confusion for r in reports], axis=0),
                       per_class_accuracy=per_class,
                       average_accuracy=sum(r.average_accuracy for r in reports) / n)

@@ -184,20 +184,17 @@ class Glcm:
     def cells(self) -> tuple[np.ndarray, np.ndarray]:
         """(codes, counts) of the nonzero cells, by ascending code i * L + j."""
         if self._cells is None:
-            if self._tally is None:
-                flat = self._counts.reshape(-1)
+            if self._tally is not None and not self._binned:
+                starts, values = _runs(self._tally)
+                codes = self._tally[starts]
+            else:  # the L * L bins of a tally, or a matrix flattened
+                flat = self._counts.reshape(-1) if self._tally is None else self._tally
                 if not np.issubdtype(flat.dtype, np.integer):
                     raise DomainError(f"co-occurrence counts must be integers, got {flat.dtype}")
                 codes = flat.nonzero()[0]
                 values = flat[codes]
                 if values.size and values.min() < 0:
                     raise DomainError("co-occurrence counts must be non-negative")
-            elif self._binned:
-                codes = self._tally.nonzero()[0]
-                values = self._tally[codes]
-            else:
-                starts, values = _runs(self._tally)
-                codes = self._tally[starts]
             self._cells = (codes, values)
         return self._cells
 
@@ -279,14 +276,15 @@ def glcp(g: Glcm) -> ProbDist:
 
     Zero cells are retained, so the distribution always has L*L outcomes.
     It holds the histogram of the nonzero cells' counts, read off the tally
-    of a computed GLCM, and fetches the cells to build ``probs`` only when
-    asked.
+    of a computed GLCM; its ``probs``, built only when asked, are
+    ``g.counts / total``.
     """
     total = g.total
     if total == 0:
         raise EmptyGlcmError("co-occurrence matrix holds no pairs")
     k, h_k = g._count_histogram()
-    return ProbDist._of_histogram(k / total, h_k, g.levels * g.levels, lambda: g.cells)
+    return ProbDist._of_histogram(k / total, h_k, g.levels * g.levels,
+                                  lambda: g.counts.reshape(-1) / total)
 
 
 def correlation(g: Glcm) -> float:

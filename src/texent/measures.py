@@ -102,7 +102,7 @@ class ProbDist:
     it, and builds :attr:`probs` only when asked for it.
     """
 
-    __slots__ = ("_probs", "_n", "_cells", "_hist")
+    __slots__ = ("_probs", "_n", "_dense_probs", "_hist")
 
     def __init__(self, probs: Iterable[float]):
         self._probs = _checked(probs, 1, "probability vector")
@@ -111,12 +111,12 @@ class ProbDist:
 
     @classmethod
     def _of_histogram(cls, p: np.ndarray, multiplicity: np.ndarray, n: int,
-                      cells) -> "ProbDist":
+                      dense_probs) -> "ProbDist":
         # multiplicity[k] of the n outcomes have probability p[k] > 0, and
-        # cells() gives the outcomes' indices and integer weights for probs.
+        # dense_probs() returns all n probabilities, zeros included.
         dist = cls.__new__(cls)
         dist._probs = None
-        dist._n, dist._cells, dist._hist = n, cells, (p, multiplicity)
+        dist._n, dist._dense_probs, dist._hist = n, dense_probs, (p, multiplicity)
         return dist
 
     @classmethod
@@ -128,9 +128,7 @@ class ProbDist:
     def probs(self) -> np.ndarray:
         """Read-only float64 view of the probabilities."""
         if self._probs is None:
-            outcomes, counts = self._cells()
-            probs = np.zeros(self._n)
-            probs[outcomes] = counts / counts.sum()
+            probs = self._dense_probs()
             probs.setflags(write=False)
             self._probs = probs
         return self._probs

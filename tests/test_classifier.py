@@ -193,6 +193,11 @@ class TestReportCsv:
         assert [row[0] for row in rows] == ["class", "a,b", 'say "c"', "average"]
 
 
+def _report_over(other):
+    fs = _set([("a", "t0", [0.0]), (other, "t1", [1.0])])
+    return evaluate(train(fs, "1nn"), fs)
+
+
 @pytest.mark.parametrize("call, message", [
     (lambda m: classify(m, ["x"]), r"^feature vector must be a sequence of reals, got \['x'\]$"),
     (lambda m: classify(m, [[1, 2], [3]]), "^feature vector must be a sequence of reals, got "),
@@ -201,7 +206,10 @@ class TestReportCsv:
     (lambda m: LabeledFeatureSet([("a", "t", 1.0)]),
      "^tile a/t needs a sequence of real feature values, got 1.0$"),
     (lambda m: mean_report([]), "^no reports to average$"),
-], ids=["classify-str", "classify-ragged", "set-str", "set-scalar", "mean-empty"])
+    (lambda m: mean_report([_report_over("b"), _report_over("c")]),
+     r"^reports must cover the same classes, got \['a', 'b'\] and \['a', 'c'\]$"),
+], ids=["classify-str", "classify-ragged", "set-str", "set-scalar", "mean-empty",
+        "mean-other-classes"])
 def test_non_numeric_features_rejected(call, message):
     model = train(_set([("a", "t0", [0.0]), ("b", "t1", [1.0])]), "1nn")
     with pytest.raises(DomainError, match=message):

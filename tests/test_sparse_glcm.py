@@ -368,9 +368,15 @@ def test_one_glcm_builds_its_cells_once_on_request(symmetric, levels, monkeypatc
     probs = dist.probs
     assert built == [g.spacing]
     correlation(g)
-    assert np.array_equal(g.counts.reshape(-1) / g.total, probs)
+    codes, values = g.cells
+    scattered = np.zeros(levels * levels)
+    scattered[codes] = values / g.total
+    assert probs.tobytes() == scattered.tobytes()
     assert glcp(g).probs.tobytes() == probs.tobytes()
     assert built == [g.spacing]
+    matrix = Glcm(g.counts.astype(np.uint64), g.spacing)  # found by nonzero, as bins are
+    assert glcp(matrix).probs.tobytes() == probs.tobytes()
+    assert built == [g.spacing] * 2
 
 
 def _direct_cell(img, feature, spacing, symmetric):
