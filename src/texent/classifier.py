@@ -33,7 +33,7 @@ ONE_NN = "1nn"
 NEAREST_CENTROID = "centroid"
 
 #: Most bytes of the (query rows, points, features) difference array held at once.
-_CHUNK_BYTES = 1 << 20
+_CHUNK_BYTES = 1 << 18
 
 #: Nearest records ranked per record for cross-validation.
 _CANDIDATES = 16
@@ -91,9 +91,11 @@ def _class_means(points: np.ndarray, codes: np.ndarray, n: int) -> np.ndarray:
 
 
 def _sq_distances(points: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    # One broadcast; each distance is reduced over the features alone, so it
-    # has the same bits for any set of rows and points, and ties fall alike.
-    return np.sum((points - queries[:, None]) ** 2, axis=2)
+    # One broadcast, squared in place; each distance is reduced over the features
+    # alone, so it has the same bits for any set of rows and points, and ties fall alike.
+    diff = points - queries[:, None]
+    diff *= diff
+    return diff.sum(axis=2)
 
 
 def _nearest(d2: np.ndarray, codes: np.ndarray) -> np.ndarray:
@@ -104,7 +106,7 @@ def _nearest(d2: np.ndarray, codes: np.ndarray) -> np.ndarray:
 
 def _distance_chunks(points: np.ndarray, queries: np.ndarray):
     # Squared distances per chunk of query rows, each from at most _CHUNK_BYTES
-    # of differences (a featureless set counts as one feature).
+    # (256 KiB) of differences (a featureless set counts as one feature).
     rows = max(1, _CHUNK_BYTES // (8 * max(1, points.size)))
     for start in range(0, len(queries), rows):
         yield _sq_distances(points, queries[start : start + rows])
@@ -159,11 +161,12 @@ class EvalReport:
 
 
 def _report(names: tuple[str, ...], truth: np.ndarray, predicted: np.ndarray) -> EvalReport:
-    # Tabulate true against predicted codes; accuracies cover the true classes.
+    # Tabulate true against predicted codes; accuracies cover the true
+    # classes, the rows holding a record, ascending.
     n = len(names)
     confusion = np.bincount(truth * n + predicted, minlength=n * n).reshape(n, n)
-    per_class = {names[i]: float(confusion[i, i]) / int(confusion[i].sum())
-                 for i in np.unique(truth)}
+    tested = confusion.sum(axis=1)
+    per_class = {names[i]: float(confusion[i, i]) / int(tested[i]) for i in tested.nonzero()[0]}
     confusion.setflags(write=False)
     return EvalReport(names, confusion, per_class, sum(per_class.values()) / len(per_class))
 
@@ -208,7 +211,7 @@ def repeated_cross_validate(
 
     The records are grouped by class, and the folds, points and label codes
     built, once per call.  1-NN computes the squared distance between every
-    two records once, in chunks of query rows of at most 1 MiB of feature
+    two records once, in chunks of query rows of at most 256 KiB of feature
     differences, and ranks each record's 16 nearest records by (distance,
     label).  Each fold is then resolved from that ranking: a test record
     takes the label of its first ranked record in the train fold; when there

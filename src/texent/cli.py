@@ -231,9 +231,12 @@ def _cmd_fbim(args) -> int:
 
 def _corpus_features(args, measure_by_column, roots):
     """Feature sets per measure for each corpus root, from tiles of one level count."""
-    corpora = [[(label, tile, _quantized(img, args.levels))
-                for label, tile, img in dataset.load_labeled_images(root)]
-               for root in roots]
+    corpora = []
+    for root in roots:  # each tile replaced by its quantized copy, freeing the original
+        items = dataset.load_labeled_images(root)
+        for i, (label, tile, img) in enumerate(items):
+            items[i] = (label, tile, _quantized(img, args.levels))
+        corpora.append(items)
     # Features of tiles with different level counts lie on different scales.
     first_label, first_tile, first = corpora[0][0]
     for label, tile, img in itertools.chain(*corpora):

@@ -130,11 +130,12 @@ class Glcm:
     ``counts`` is an L x L integer matrix; ``counts[i, j]`` is the number of
     pixel positions holding gray level i whose offset neighbor holds j.  A
     Glcm made by :func:`compute_glcm` keeps only its tally of the pair codes
-    i * L + j; :attr:`cells`, its nonzero cells, and ``counts`` (read-only)
-    are built from it on first access.  A Glcm constructed from a square
-    matrix keeps a read-only copy of it and finds its cells there; every
-    feature of one whose counts are not integers, include a negative one, or
-    total 2**53 or more, raises :class:`DomainError`.
+    i * L + j; :attr:`cells`, its nonzero cells, and ``counts`` (read-only;
+    a view of the tally when that is L * L bins) are built from it on first
+    access.  A Glcm constructed from a square matrix keeps a read-only copy
+    of it and finds its cells there; every feature of one whose counts are
+    not integers, include a negative one, or total 2**53 or more, raises
+    :class:`DomainError`.
     """
 
     __slots__ = ("_spacing", "_levels", "_counts", "_cells", "_total", "_tally", "_binned")
@@ -172,9 +173,11 @@ class Glcm:
     @property
     def counts(self) -> np.ndarray:
         if self._counts is None:
-            codes, values = self.cells
-            counts = np.zeros(self._levels * self._levels, dtype=np.intp)
-            counts[codes] = values
+            counts = self._tally  # the L * L bins already are the counts, row-major
+            if not self._binned:  # sorted pair codes: their cells scattered into zeros
+                codes, values = self.cells
+                counts = np.zeros(self._levels * self._levels, dtype=np.intp)
+                counts[codes] = values
             counts = counts.reshape(self._levels, self._levels)
             counts.setflags(write=False)
             self._counts = counts

@@ -228,6 +228,30 @@ class TestCorrelationFromAutocorrelation:
                              text=True, check=True).stdout
         assert out.split() == ["False", "False", "False", "False", "False"]
 
+    def test_classify_and_compare_leave_numpy_ma_unloaded(self, tmp_path):
+        # numpy.ma costs a cold run about 1 MB of RSS; a split, a held-out
+        # corpus and a five-measure compare each leave it unimported.
+        root = tmp_path / "corpus"
+        for cls, maker in (("noise", lambda i: noise_image(12, 12, seed=i)),
+                           ("stripes", lambda i: stripe_image(12, 12, 4, 2, phase=i))):
+            (root / cls).mkdir(parents=True)
+            for i in range(3):
+                texent.write_pgm(root / cls / f"t{i}.pgm", maker(i))
+        common = f"'--train', {str(root)!r}, '--dist', '1', '--levels', '8', '--report', "
+        code = ("import sys, texent.cli\n"
+                "loaded = ['numpy.ma' in sys.modules]\n"
+                f"for argv in (['classify', {common}'r1.csv', '--trials', '2'],\n"
+                f"             ['classify', {common}'r2.csv', '--test', {str(root)!r}],\n"
+                f"             ['compare', {common}'r3.csv']):\n"
+                "    assert texent.cli.run(argv) == 0, argv\n"
+                "    loaded.append('numpy.ma' in sys.modules)\n"
+                "print(loaded)\n")
+        src = Path(texent.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True, cwd=tmp_path).stdout
+        assert out.splitlines()[-1] == str([False] * 4)
+
 
 class TestFbimToImage:
     def test_constant_map_renders_mid_gray(self):

@@ -202,6 +202,25 @@ def test_sort_and_bincount_counting_agree(seed, h, w, levels, spread, d, theta, 
         assert glcm.total == codes.size
 
 
+@pytest.mark.parametrize("symmetric", [False, True])
+@pytest.mark.parametrize("levels", [2, 16, 256])
+def test_binned_counts_are_a_read_only_view_of_the_bins(levels, symmetric):
+    # No cell is decoded: the counts have the bytes of the cells scattered
+    # into zeros, as they were once built.
+    img = noise_image(24, 24, seed=2, levels=levels)
+    g = _tallied(img, SpacingVector(2, 135), symmetric, binned=True)
+    counts = g.counts
+    assert g._cells is None and np.shares_memory(counts, g._tally)
+    assert not counts.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        counts[0, 0] = 1
+    codes, values = g.cells
+    scattered = np.zeros(levels * levels, dtype=np.intp)
+    scattered[codes] = values
+    assert counts.dtype == np.intp and counts.shape == (levels, levels)
+    assert counts.tobytes() == scattered.tobytes()
+
+
 #: Orders within 2**-4 of 1, where Renyi and Tsallis take their expm1 forms.
 _NEAR_ONE = st.floats(1 - 2**-4, 1 + 2**-4).filter(lambda x: x != 1.0)
 
@@ -366,7 +385,7 @@ def test_one_glcm_builds_its_cells_once_on_request(symmetric, levels, monkeypatc
     glcm_entropy(g, EntropyMeasure("shannon"))
     assert built == []
     probs = dist.probs
-    assert built == [g.spacing]
+    assert built == ([] if g._binned else [g.spacing])  # L * L bins are read as they are
     correlation(g)
     codes, values = g.cells
     scattered = np.zeros(levels * levels)
