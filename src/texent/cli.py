@@ -230,20 +230,15 @@ def _cmd_fbim(args) -> int:
 
 
 def _corpus_features(args, measure_by_column, roots):
-    """Feature sets per measure for each corpus root, from tiles of one level count."""
+    """Feature sets per measure for each corpus root, from tiles of one shape and level count."""
     corpora = []
     for root in roots:  # each tile replaced by its quantized copy, freeing the original
         items = dataset.load_labeled_images(root)
         for i, (label, tile, img) in enumerate(items):
             items[i] = (label, tile, _quantized(img, args.levels))
         corpora.append(items)
-    # Features of tiles with different level counts lie on different scales.
-    first_label, first_tile, first = corpora[0][0]
-    for label, tile, img in itertools.chain(*corpora):
-        if img.levels != first.levels:
-            raise DomainError(f"tile {label}/{tile} has {img.levels} gray levels but "
-                              f"{first_label}/{first_tile} has {first.levels}; "
-                              f"use --levels to quantize every tile alike")
+    dataset._check_alike(list(itertools.chain(*corpora)),
+                         "; use --levels to quantize every tile alike")
     distances = _distances_from(args, [img for *_, img in itertools.chain(*corpora)])
     return [dataset.build_feature_sets(items, measure_by_column, distances,
                                        args.symmetric, args.threads)

@@ -26,8 +26,8 @@ import numpy as np
 
 from ._text import sig15
 from .errors import DomainError, PgmError, _integer
-from .glcm import GrayImage, SpacingVector, compute_glcm, glcp
-from .measures import EntropyMeasure, apply_measure
+from .glcm import GrayImage, SpacingVector, _binned, _pair_blocks, _pair_codes, compute_glcm, glcp
+from .measures import EntropyMeasure, _order, _values, apply_measure
 
 __all__ = [
     "FEATURE_ANGLES",
@@ -250,6 +250,60 @@ def _extract_multi(
     return out
 
 
+#: Most bytes of pair codes and bins that one chunk of tiles takes in :func:`_stacked`.
+_CHUNK_BYTES = 1 << 18
+
+
+def _stacked(
+    images: Sequence[GrayImage],
+    measures: dict[str, EntropyMeasure],
+    row: Sequence[SpacingVector],
+    symmetric: bool,
+) -> dict[str, list[float]]:
+    # Each measure's feature of every tile, the mean over the row's spacings,
+    # as _extract_multi gives it; for tiles of one shape and level count on
+    # all of whose spacings compute_glcm bins.  Tiles go in (m, h, w) stacks.
+    levels = images[0].levels
+    cells = levels * levels
+    chunk = max(1, _CHUNK_BYTES // (8 * (images[0].pixels.size + cells)))
+    out: dict[str, list[float]] = {key: [] for key in measures}
+    for start in range(0, len(images), chunk):
+        stack = np.stack([img.pixels for img in images[start : start + chunk]])
+        vals = {key: [] for key in measures}
+        for s in row:
+            p, h_k, ends = _count_histograms(stack, levels, s, symmetric)
+            for key, measure in measures.items():
+                vals[key].append(_values(measure.kind, _order(measure), p, h_k, ends, cells))
+        for key, v in vals.items():
+            out[key] += [sum(x) / len(x) for x in zip(*v)]
+    return out
+
+
+def _count_histograms(
+    stack: np.ndarray, levels: int, spacing: SpacingVector, symmetric: bool
+) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    # For each tile t of the stack, as glcp holds them: the nonzero k / N of
+    # its GLCM along the spacing, ascending, and how many cells h_k hold count
+    # k; they run up to ends[t].  One bincount tallies the pair codes
+    # t * L*L + i * L + j of every tile, and a second the codes t * M + k.
+    m, cells = len(stack), levels * levels
+    codes = _pair_codes(*_pair_blocks(stack, spacing), levels, np.intp).reshape(m, -1)
+    total = codes.shape[1]
+    codes += np.arange(0, m * cells, cells)[:, None]
+    counts = np.bincount(codes.ravel(), minlength=m * cells).reshape(m, levels, levels)
+    if symmetric:  # every pair also reversed: the counts plus their transpose
+        counts = counts + counts.transpose(0, 2, 1)
+        total *= 2
+    counts = counts.reshape(m, cells)
+    width = int(counts.max()) + 1
+    counts += np.arange(0, m * width, width)[:, None]
+    hist = np.bincount(counts.ravel(), minlength=m * width)
+    hist[::width] = 0  # the empty cells
+    at = hist.nonzero()[0]
+    ends = np.searchsorted(at, np.arange(width, (m + 1) * width, width)).tolist()
+    return (at % width) / total, hist[at], ends
+
+
 def extract_feature(
     img: GrayImage,
     measure: EntropyMeasure,
@@ -262,7 +316,7 @@ def extract_feature(
     0/45/90/135 at that distance.
     """
     spacings = _feature_spacings(_distance_list(distances))
-    return _extract_multi(img, {"": measure}, spacings, symmetric)[""]
+    return list(_features([img], {"": measure}, spacings, symmetric)[""][0])
 
 
 class Record(NamedTuple):
@@ -489,15 +543,49 @@ def build_feature_sets(
     spacings = _feature_spacings(_distance_list(distances))
     _integer(threads, "threads", 1)
     items = list(items)  # read twice: once for features, once for labels
-    per_tile = [_extract_multi(img, measures, spacings, symmetric) for _, _, img in items]
+    _check_alike(items)
+    per_tile = _features([img for _, _, img in items], measures, spacings, symmetric)
+    return {key: LabeledFeatureSet((label, source, feats) for (label, source, _), feats
+                                   in zip(items, per_tile[key]))
+            for key in measures}
 
-    out = {}
-    for key in measures:
-        out[key] = LabeledFeatureSet(
-            (label, source, feats[key])
-            for (label, source, _), feats in zip(items, per_tile)
-        )
-    return out
+
+def _features(
+    images: Sequence[GrayImage],
+    measures: dict[str, EntropyMeasure],
+    spacings: Sequence[Sequence[SpacingVector]],
+    symmetric: bool,
+) -> dict[str, list[tuple[float, ...]]]:
+    # Each measure's feature vector of every tile, for tiles of one shape and
+    # level count: through _stacked where compute_glcm bins on every spacing
+    # of a row, else tile by tile through _extract_multi.
+    columns: dict[str, list[list[float]]] = {key: [] for key in measures}  # one per row
+    for row in spacings:
+        if images and all(_binned(images[0].levels, _pair_blocks(images[0].pixels, s)[0].size,
+                                  symmetric) for s in row):
+            column = _stacked(images, measures, row, symmetric)
+        else:
+            per_tile = [_extract_multi(img, measures, [row], symmetric) for img in images]
+            column = {key: [feats[key][0] for feats in per_tile] for key in measures}
+        for key in measures:
+            columns[key].append(column[key])
+    return {key: list(zip(*rows)) for key, rows in columns.items()}
+
+
+def _check_alike(items: Sequence[tuple[str, str, GrayImage]], levels_hint: str = "") -> None:
+    # Features of tiles of different level counts lie on different scales, and
+    # those of one texture change with the tile size.
+    if not items:
+        return
+    first_label, first_tile, first = items[0]
+    for label, tile, img in items:
+        if img.levels != first.levels:
+            raise DomainError(f"tile {label}/{tile} has {img.levels} gray levels but "
+                              f"{first_label}/{first_tile} has {first.levels}{levels_hint}")
+        if img.pixels.shape != first.pixels.shape:
+            raise DomainError(f"tile {label}/{tile} is {img.width}x{img.height} but "
+                              f"{first_label}/{first_tile} is {first.width}x{first.height}; "
+                              f"features of different tile sizes are not comparable")
 
 
 def build_feature_set(

@@ -241,6 +241,26 @@ def _pair_codes(a: np.ndarray, b: np.ndarray, levels: int, dtype) -> np.ndarray:
     return codes.ravel()
 
 
+def _pair_blocks(px: np.ndarray, spacing: SpacingVector) -> tuple[np.ndarray, np.ndarray]:
+    # The blocks (a, b) of the last two axes of ``px`` whose elements pair up
+    # along the spacing: b is a shifted by its offset.
+    dx, dy = offset_of(spacing)
+    h, w = px.shape[-2:]
+    r0, r1 = (0, h - dy) if dy >= 0 else (-dy, h)
+    c0, c1 = (0, w - dx) if dx >= 0 else (-dx, w)
+    if r1 <= r0 or c1 <= c0:
+        raise EmptyGlcmError(
+            f"no in-bounds pixel pairs for d={spacing.d}, theta={spacing.theta} "
+            f"on a {w}x{h} image"
+        )
+    return px[..., r0:r1, c0:c1], px[..., r0 + dy : r1 + dy, c0 + dx : c1 + dx]
+
+
+def _binned(levels: int, pairs: int, symmetric: bool) -> bool:
+    # Whether the L * L cells number no more than the pair codes of one image.
+    return levels * levels <= pairs * (2 if symmetric else 1)
+
+
 def compute_glcm(
     img: GrayImage, spacing: SpacingVector, symmetric: bool = False
 ) -> Glcm:
@@ -252,20 +272,10 @@ def compute_glcm(
     kept sorted when the L * L cells outnumber them and binned otherwise;
     both give the same nonzero cells.
     """
-    dx, dy = offset_of(spacing)
-    h, w = img.height, img.width
-    r0, r1 = (0, h - dy) if dy >= 0 else (-dy, h)
-    c0, c1 = (0, w - dx) if dx >= 0 else (-dx, w)
-    if r1 <= r0 or c1 <= c0:
-        raise EmptyGlcmError(
-            f"no in-bounds pixel pairs for d={spacing.d}, theta={spacing.theta} "
-            f"on a {w}x{h} image"
-        )
-    px, levels = img.pixels, img.levels
-    a = px[r0:r1, c0:c1]
-    b = px[r0 + dy : r1 + dy, c0 + dx : c1 + dx]
+    a, b = _pair_blocks(img.pixels, spacing)
+    levels = img.levels
     cells = levels * levels
-    binned = cells <= a.size * (2 if symmetric else 1)
+    binned = _binned(levels, a.size, symmetric)
     dtype = np.intp if binned else np.uint16  # bincount's own type, or a cheap sort
     codes = _pair_codes(a, b, levels, dtype)
     if symmetric:

@@ -254,25 +254,37 @@ def info_gain(p: float) -> float:
     return math.exp(-(p * p))
 
 
-def _gauss(p: np.ndarray, order=None) -> np.ndarray:
+def _gauss(p: np.ndarray, order=None, p_max=None) -> np.ndarray:
     return p * np.exp(-(p * p))
 
 
-def _power_excess(p: np.ndarray, order: float) -> np.ndarray:
+def _power_excess(p: np.ndarray, order: float, p_max=None) -> np.ndarray:
     return p * np.expm1((order - 1.0) * np.log(p))  # p**order - p
 
 
-def _evaluate(kind: str, dist: ProbDist, order: "float | None" = None) -> float:
-    # S = sum(phi(p_i)) over the nonzero p_i, as sum_k h_k * phi(k/N) when the
-    # distribution holds counts: h_k cells hold count k of N.  The measure's
-    # value is then made from S.
-    p, multiplicity = dist._outcomes()
+def _values(kind: str, order: "float | None", p: np.ndarray, multiplicity, ends: list[int],
+            n: int) -> list[float]:
+    # The measure on each of several distributions over n outcomes, the r-th
+    # the nonzero p[ends[r - 1]:ends[r]], each shared by multiplicity[i] outcomes
+    # (by one if None).  Each S = sum(phi(p_i)), as sum_k h_k * phi(k/N) when
+    # h_k cells hold count k of N, is one exactly rounded fsum of its own terms.
     phi, value = _PHI[kind]
     if order is not None and abs(order - 1.0) <= _NEAR_ONE:
         phi, value = _power_excess, _VALUE_NEAR_ONE[kind]
-    terms = phi(p, order)
-    s = math.fsum((terms if multiplicity is None else multiplicity * terms).tolist())
-    return value(s, order, p, dist.n)
+    starts = [0, *ends[:-1]]
+    p_max, each = [None] * len(ends), None  # only Renyi reads each distribution's largest p
+    if kind == RENYI:
+        p_max = np.maximum.reduceat(p, starts)
+        each = np.repeat(p_max, np.subtract(ends, starts))
+    terms = phi(p, order, each)
+    terms = (terms if multiplicity is None else multiplicity * terms).tolist()
+    return [value(math.fsum(terms[a:b]), order, top, n)
+            for a, b, top in zip(starts, ends, p_max)]
+
+
+def _evaluate(kind: str, dist: ProbDist, order: "float | None" = None) -> float:
+    p, multiplicity = dist._outcomes()
+    return _values(kind, order, p, multiplicity, [p.size], dist.n)[0]
 
 
 def entropy(dist: ProbDist) -> float:
@@ -303,7 +315,7 @@ def normalized_entropy(dist: ProbDist) -> float:
     return _evaluate(PROPOSED_NORMALIZED, dist)
 
 
-def _normalized(s: float, order, p, n: int) -> float:
+def _normalized(s: float, order, p_max, n: int) -> float:
     if n < 2:
         raise DegenerateNormalizationError(
             "normalized entropy is undefined for a single outcome"
@@ -332,8 +344,7 @@ def renyi(dist: ProbDist, alpha: float) -> float:
     return _evaluate(RENYI, dist, alpha)
 
 
-def _renyi(s: float, alpha: float, p: np.ndarray, n) -> float:
-    p_max = p.max()
+def _renyi(s: float, alpha: float, p_max: np.float64, n) -> float:
     return float(np.log(p_max * s) / (1.0 - alpha) - np.log(p_max))
 
 
@@ -406,20 +417,21 @@ def relative_entropy(p_dist: ProbDist, q_dist: ProbDist) -> float:
     return H_MIN - _gain_sum(p_dist.probs, q_dist.probs)
 
 
-def _sum(s: float, order, p, n) -> float:
+def _sum(s: float, order, p_max, n) -> float:
     return s
 
 
 #: Each measure kind's phi, applied to the nonzero probabilities with the
-#: measure's order, and its value made from S = sum(phi(p_i)), the order, those
-#: probabilities and the outcome count n.  Every measure is trace-form.
+#: measure's order and, for each, the largest probability of its distribution;
+#: and its value made from S = sum(phi(p_i)), the order, that largest
+#: probability and the outcome count n.  Every measure is trace-form.
 _PHI = {
     PROPOSED: (_gauss, _sum),
     PROPOSED_NORMALIZED: (_gauss, _normalized),
-    SHANNON: (lambda p, _: -p * np.log(p), _sum),
-    RENYI: (lambda p, alpha: (p / p.max()) ** alpha, _renyi),
-    TSALLIS: (lambda p, q: p**q, lambda s, q, p, n: (1.0 - s) / (q - 1.0)),
-    PAL_PAL: (lambda p, _: p * np.exp(1.0 - p), _sum),
+    SHANNON: (lambda p, _, __: -p * np.log(p), _sum),
+    RENYI: (lambda p, alpha, p_max: (p / p_max) ** alpha, _renyi),
+    TSALLIS: (lambda p, q, _: p**q, lambda s, q, p_max, n: (1.0 - s) / (q - 1.0)),
+    PAL_PAL: (lambda p, _, __: p * np.exp(1.0 - p), _sum),
 }
 MEASURE_KINDS = tuple(_PHI)
 
@@ -429,11 +441,15 @@ MEASURE_KINDS = tuple(_PHI)
 #: divided by the order's small distance from 1.
 _NEAR_ONE = 2.0**-4
 _VALUE_NEAR_ONE = {
-    RENYI: lambda s, alpha, p, n: math.log1p(s) / (1.0 - alpha),
-    TSALLIS: lambda s, q, p, n: -s / (q - 1.0),
+    RENYI: lambda s, alpha, p_max, n: math.log1p(s) / (1.0 - alpha),
+    TSALLIS: lambda s, q, p_max, n: -s / (q - 1.0),
 }
+
+
+def _order(measure: EntropyMeasure) -> "float | None":
+    return measure.alpha if measure.alpha is not None else measure.q
 
 
 def apply_measure(measure: EntropyMeasure, dist: ProbDist) -> float:
     """Evaluate the selected measure on a distribution, passing its order if any."""
-    return _evaluate(measure.kind, dist, measure.alpha if measure.alpha is not None else measure.q)
+    return _evaluate(measure.kind, dist, _order(measure))

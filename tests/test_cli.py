@@ -532,6 +532,27 @@ class TestSharedPipeline:
         # Quantizing every tile to 16 levels makes the corpus consistent.
         assert run(argv + ["--levels", "16"]) == 0
 
+    @pytest.mark.parametrize("test_dir", [False, True])
+    def test_mixed_tile_shapes_rejected(self, tmp_path, capsys, test_dir):
+        train = tmp_path / "train"
+        for cls in ("a", "b"):
+            (train / cls).mkdir(parents=True)
+            for i in range(2):
+                side = 24 if (cls, i) == ("b", 1) and not test_dir else 16
+                write_pgm(train / cls / f"t{i}.pgm", noise_image(side, 16, i, 16))
+        argv = ["classify", "--train", str(train), "--dist", "1",
+                "--report", str(tmp_path / "r.csv")]
+        if test_dir:
+            (tmp_path / "test" / "a").mkdir(parents=True)
+            write_pgm(tmp_path / "test" / "a" / "t9.pgm", noise_image(16, 24, 9, 16))
+            argv += ["--test", str(tmp_path / "test")]
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert (("a/t9 is 16x24" if test_dir else "b/t1 is 24x16") in err
+                and "a/t0 is 16x16" in err)
+        assert not (tmp_path / "r.csv").exists()
+
 
 class TestDeterminism:
     def test_identical_invocations_identical_outputs(self, corpus, tmp_path):

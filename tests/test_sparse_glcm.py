@@ -349,10 +349,16 @@ def test_correlation_map_makes_no_glcm(monkeypatch):
     assert made == ["tally", "matrix"]
 
 
-@pytest.mark.parametrize("levels", [4, 16, 256])
-@pytest.mark.parametrize("symmetric", [False, True])
-def test_classify_tiles_and_proposed_maps_never_build_cells(symmetric, levels, monkeypatch):
-    # At 4 and 16 levels the tiles' tallies are binned; at 256, sorted.
+@pytest.mark.parametrize("levels, symmetric, sparse_rows", [
+    (4, False, 0), (4, True, 0),  # every spacing binned: the tiles are stacked
+    (16, False, 3),  # 240 or fewer pairs against 256 bins at d = 1: none binned
+    (16, True, 1),  # twice the pairs: binned at d = 1 and 2, not at d = 5 and 45 degrees
+    (256, False, 3), (256, True, 3),  # sorted
+])
+def test_classify_tiles_and_proposed_maps_never_build_cells(levels, symmetric, sparse_rows,
+                                                            monkeypatch):
+    # A distance goes through compute_glcm, glcp and apply_measure tile by
+    # tile, once per spacing vector, unless all four of its vectors are binned.
     tiles = [(f"c{k % 2}", f"t{k}", noise_image(16, 16, seed=k, levels=levels))
              for k in range(4)]
     measures = {kind: EntropyMeasure.select(kind, 1.01, 2.5) for kind in MEASURE_KINDS}
@@ -367,7 +373,7 @@ def test_classify_tiles_and_proposed_maps_never_build_cells(symmetric, levels, m
         monkeypatch.setattr(texent.dataset, name, counted)
     built = _count_cell_builds(monkeypatch)
     build_feature_sets(tiles, measures, [1, 2, 5], symmetric)
-    glcms = len(tiles) * 3 * 4  # 3 distances, 4 angles
+    glcms = len(tiles) * sparse_rows * 4  # 4 angles
     assert calls == {"compute_glcm": glcms, "glcp": glcms,
                      "apply_measure": glcms * len(measures)}
     compute_fbim(tiles[0][2], measures["proposed"], d_max=7, symmetric=symmetric)
