@@ -32,7 +32,7 @@ __all__ = [
 ONE_NN = "1nn"
 NEAREST_CENTROID = "centroid"
 
-#: Most bytes of the (query rows, points, features) difference array held at once.
+#: Most bytes of (query rows, points, features) differences held at once, or one row's.
 _CHUNK_BYTES = 1 << 18
 
 #: Nearest records ranked per record for cross-validation.
@@ -105,8 +105,8 @@ def _nearest(d2: np.ndarray, codes: np.ndarray) -> np.ndarray:
 
 
 def _distance_chunks(points: np.ndarray, queries: np.ndarray):
-    # Squared distances per chunk of query rows, each from at most _CHUNK_BYTES
-    # (256 KiB) of differences (a featureless set counts as one feature).
+    # Squared distances per chunk of query rows: at most _CHUNK_BYTES (256 KiB)
+    # of differences, or one row (a featureless set counts as one feature).
     rows = max(1, _CHUNK_BYTES // (8 * max(1, points.size)))
     for start in range(0, len(queries), rows):
         yield _sq_distances(points, queries[start : start + rows])

@@ -148,9 +148,9 @@ def _quantized(img: glcm.GrayImage, levels: int) -> glcm.GrayImage:
     return img.quantize(min(levels, img.levels))
 
 
-def _distances_from(args, images) -> "int | list[int]":
-    """The spacing flags' distances, each below the shorter side of every image."""
-    side = min(min(img.width, img.height) for img in images)
+def _distances_from(args, img) -> "int | list[int]":
+    """The spacing flags' distances, each below the image's shorter side."""
+    side = min(img.width, img.height)
     if args.drange is None:
         if args.dist >= side:
             raise DomainError(f"--dist must be below the smallest image side {side}, "
@@ -206,7 +206,7 @@ def _cmd_glcm(args) -> int:
 def _cmd_entropy(args) -> int:
     img = _quantized(dataset.read_pgm(args.image), args.levels)
     measure = measures.EntropyMeasure.select(args.measure, args.alpha, args.q)
-    distances = _distances_from(args, [img])
+    distances = _distances_from(args, img)
     values = dataset.extract_feature(img, measure, distances, args.symmetric)
     for v in values:
         print(sig15(v))
@@ -239,7 +239,7 @@ def _corpus_features(args, measure_by_column, roots):
         corpora.append(items)
     dataset._check_alike(list(itertools.chain(*corpora)),
                          "; use --levels to quantize every tile alike")
-    distances = _distances_from(args, [img for *_, img in itertools.chain(*corpora)])
+    distances = _distances_from(args, corpora[0][0][2])  # _check_alike: one shape
     return [dataset.build_feature_sets(items, measure_by_column, distances,
                                        args.symmetric, args.threads)
             for items in corpora]

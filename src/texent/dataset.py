@@ -236,47 +236,17 @@ def _feature_spacings(distances: Sequence[int]) -> list[list[SpacingVector]]:
 def _extract_multi(
     img: GrayImage,
     measures: dict[str, EntropyMeasure],
-    spacings: Sequence[Sequence[SpacingVector]],
-    symmetric: bool,
-) -> dict[str, list[float]]:
-    # One GLCP per spacing vector, shared across every measure; each row of
-    # ``spacings`` gives one feature, the mean over its vectors.
-    out: dict[str, list[float]] = {key: [] for key in measures}
-    for row in spacings:
-        dists = [glcp(compute_glcm(img, s, symmetric)) for s in row]
-        for key, measure in measures.items():
-            vals = [apply_measure(measure, p) for p in dists]
-            out[key].append(sum(vals) / len(vals))
-    return out
-
-
-#: Most bytes of pair codes and bins that one chunk of tiles takes in :func:`_stacked`.
-_CHUNK_BYTES = 1 << 18
-
-
-def _stacked(
-    images: Sequence[GrayImage],
-    measures: dict[str, EntropyMeasure],
     row: Sequence[SpacingVector],
     symmetric: bool,
-) -> dict[str, list[float]]:
-    # Each measure's feature of every tile, the mean over the row's spacings,
-    # as _extract_multi gives it; for tiles of one shape and level count on
-    # all of whose spacings compute_glcm bins.  Tiles go in (m, h, w) stacks.
-    levels = images[0].levels
-    cells = levels * levels
-    chunk = max(1, _CHUNK_BYTES // (8 * (images[0].pixels.size + cells)))
-    out: dict[str, list[float]] = {key: [] for key in measures}
-    for start in range(0, len(images), chunk):
-        stack = np.stack([img.pixels for img in images[start : start + chunk]])
-        vals = {key: [] for key in measures}
-        for s in row:
-            p, h_k, ends = _count_histograms(stack, levels, s, symmetric)
-            for key, measure in measures.items():
-                vals[key].append(_values(measure.kind, _order(measure), p, h_k, ends, cells))
-        for key, v in vals.items():
-            out[key] += [sum(x) / len(x) for x in zip(*v)]
-    return out
+) -> dict[str, float]:
+    # Each measure's feature of one tile: the mean over the row's vectors, one GLCP each.
+    dists = [glcp(compute_glcm(img, s, symmetric)) for s in row]
+    vals = {key: [apply_measure(measure, p) for p in dists] for key, measure in measures.items()}
+    return {key: sum(v) / len(v) for key, v in vals.items()}
+
+
+#: Most bytes of one spacing's pair codes and bins in a :func:`_features` chunk, or one tile's.
+_CHUNK_BYTES = 1 << 18
 
 
 def _count_histograms(
@@ -557,19 +527,37 @@ def _features(
     symmetric: bool,
 ) -> dict[str, list[tuple[float, ...]]]:
     # Each measure's feature vector of every tile, for tiles of one shape and
-    # level count: through _stacked where compute_glcm bins on every spacing
-    # of a row, else tile by tile through _extract_multi.
-    columns: dict[str, list[list[float]]] = {key: [] for key in measures}  # one per row
-    for row in spacings:
-        if images and all(_binned(images[0].levels, _pair_blocks(images[0].pixels, s)[0].size,
-                                  symmetric) for s in row):
-            column = _stacked(images, measures, row, symmetric)
-        else:
-            per_tile = [_extract_multi(img, measures, [row], symmetric) for img in images]
-            column = {key: [feats[key][0] for feats in per_tile] for key in measures}
-        for key in measures:
-            columns[key].append(column[key])
-    return {key: list(zip(*rows)) for key, rows in columns.items()}
+    # level count, a chunk of tiles at a time.  A row on all of whose spacings
+    # compute_glcm bins is counted for the chunk's (m, h, w) stack, one spacing
+    # at a time; any other row goes tile by tile through _extract_multi.
+    out: dict[str, list[tuple[float, ...]]] = {key: [] for key in measures}
+    if not images:
+        return out
+    levels, pixels = images[0].levels, images[0].pixels
+    cells = levels * levels
+    binned = [all(_binned(levels, _pair_blocks(pixels, s)[0].size, symmetric) for s in row)
+              for row in spacings]
+    chunk = max(1, _CHUNK_BYTES // (8 * (pixels.size + cells)))
+    for start in range(0, len(images), chunk):
+        tiles = images[start : start + chunk]
+        stack = np.stack([img.pixels for img in tiles]) if any(binned) else None
+        columns: dict[str, list[list[float]]] = {key: [] for key in measures}  # one per row
+        for row, bins in zip(spacings, binned):
+            if not bins:
+                per_tile = [_extract_multi(img, measures, row, symmetric) for img in tiles]
+                for key in measures:
+                    columns[key].append([feats[key] for feats in per_tile])
+                continue
+            vals: dict[str, list[list[float]]] = {key: [] for key in measures}  # one per spacing
+            for s in row:
+                p, h_k, ends = _count_histograms(stack, levels, s, symmetric)
+                for key, measure in measures.items():
+                    vals[key].append(_values(measure.kind, _order(measure), p, h_k, ends, cells))
+            for key, v in vals.items():
+                columns[key].append([sum(x) / len(x) for x in zip(*v)])
+        for key, rows in columns.items():
+            out[key] += zip(*rows)
+    return out
 
 
 def _check_alike(items: Sequence[tuple[str, str, GrayImage]], levels_hint: str = "") -> None:
