@@ -26,8 +26,8 @@ import numpy as np
 
 from ._text import sig15
 from .errors import DomainError, PgmError, _integer
-from .glcm import GrayImage, SpacingVector, _binned, _pair_blocks, _pair_codes, compute_glcm, glcp
-from .measures import EntropyMeasure, _order, _values, apply_measure
+from .glcm import GrayImage, SpacingVector, _binned, _pair_blocks, compute_glcm, glcp
+from .measures import EntropyMeasure, _spec, _values, apply_measure
 
 __all__ = [
     "FEATURE_ANGLES",
@@ -245,33 +245,38 @@ def _extract_multi(
     return {key: sum(v) / len(v) for key, v in vals.items()}
 
 
-#: Most bytes of one spacing's pair codes and bins in a :func:`_features` chunk, or one tile's.
+#: Most bytes of one spacing's pair codes (widened to int64 by bincount) and int64 bins in
+#: a :func:`_features` chunk, or one tile's; at most 2**16 cells, so the codes fit in uint16.
+#: A chunk also holds its uint16 bases and the bins of a distance's four spacings.
 _CHUNK_BYTES = 1 << 18
 
 
 def _count_histograms(
-    stack: np.ndarray, levels: int, spacing: SpacingVector, symmetric: bool
+    base: np.ndarray, stack: np.ndarray, levels: int, row: Sequence[SpacingVector],
+    symmetric: bool, work: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, list[int]]:
-    # For each tile t of the stack, as glcp holds them: the nonzero k / N of
-    # its GLCM along the spacing, ascending, and how many cells h_k hold count
-    # k; they run up to ends[t].  One bincount tallies the pair codes
-    # t * L*L + i * L + j of every tile, and a second the codes t * M + k.
+    # For each spacing s of the row and tile t of the stack, as glcp holds them:
+    # the nonzero k / N of its GLCM, ascending, and how many cells h_k hold count
+    # k; they run up to ends[s * m + t].  A spacing's pair codes t * L*L + i * L + j
+    # are its block of the bases t * L*L + i * L plus its block of the stack, one
+    # add; a bincount tallies them into ``work``, and a second the codes
+    # (s * m + t) * M + k of all four spacings.
     m, cells = len(stack), levels * levels
-    codes = _pair_codes(*_pair_blocks(stack, spacing), levels, np.intp).reshape(m, -1)
-    total = codes.shape[1]
-    codes += np.arange(0, m * cells, cells)[:, None]
-    counts = np.bincount(codes.ravel(), minlength=m * cells).reshape(m, levels, levels)
-    if symmetric:  # every pair also reversed: the counts plus their transpose
-        counts = counts + counts.transpose(0, 2, 1)
-        total *= 2
-    counts = counts.reshape(m, cells)
+    counts = work[: len(row) * m * cells].reshape(len(row), m, levels, levels)
+    for k, s in enumerate(row):
+        codes = _pair_blocks(base, s)[0] + _pair_blocks(stack, s)[1]
+        counts[k] = np.bincount(codes.ravel(), minlength=m * cells).reshape(m, levels, levels)
+        if symmetric:  # every pair also reversed: the counts plus their transpose
+            counts[k] += counts[k].transpose(0, 2, 1)
+    counts = counts.reshape(-1, cells)
     width = int(counts.max()) + 1
-    counts += np.arange(0, m * width, width)[:, None]
-    hist = np.bincount(counts.ravel(), minlength=m * width)
+    counts += np.arange(0, len(counts) * width, width)[:, None]
+    hist = np.bincount(counts.ravel(), minlength=len(counts) * width)
     hist[::width] = 0  # the empty cells
     at = hist.nonzero()[0]
-    ends = np.searchsorted(at, np.arange(width, (m + 1) * width, width)).tolist()
-    return (at % width) / total, hist[at], ends
+    ends = np.searchsorted(at, np.arange(width, (len(counts) + 1) * width, width)).tolist()
+    pairs = [_pair_blocks(stack[0], s)[0].size * (2 if symmetric else 1) for s in row]
+    return (at % width) / np.array(pairs)[at // (m * width)], hist[at], ends
 
 
 def extract_feature(
@@ -528,8 +533,9 @@ def _features(
 ) -> dict[str, list[tuple[float, ...]]]:
     # Each measure's feature vector of every tile, for tiles of one shape and
     # level count, a chunk of tiles at a time.  A row on all of whose spacings
-    # compute_glcm bins is counted for the chunk's (m, h, w) stack, one spacing
-    # at a time; any other row goes tile by tile through _extract_multi.
+    # compute_glcm bins is counted for the chunk's (m, h, w) stack in one pass;
+    # any other row goes tile by tile through _extract_multi.
+    specs = {key: _spec(measure) for key, measure in measures.items()}
     out: dict[str, list[tuple[float, ...]]] = {key: [] for key in measures}
     if not images:
         return out
@@ -537,10 +543,14 @@ def _features(
     cells = levels * levels
     binned = [all(_binned(levels, _pair_blocks(pixels, s)[0].size, symmetric) for s in row)
               for row in spacings]
-    chunk = max(1, _CHUNK_BYTES // (8 * (pixels.size + cells)))
+    chunk = max(1, min(_CHUNK_BYTES // (8 * (pixels.size + cells)), (1 << 16) // cells))
+    if any(binned):  # kept for the call: malloc gave ones made per distance back to the OS
+        work = np.empty(min(chunk, len(images)) * 4 * cells, dtype=np.intp)
     for start in range(0, len(images), chunk):
         tiles = images[start : start + chunk]
-        stack = np.stack([img.pixels for img in tiles]) if any(binned) else None
+        stack, m = np.stack([img.pixels for img in tiles]), len(tiles)
+        base = np.multiply(stack, levels, dtype=np.uint16)
+        base += np.arange(0, m * cells, cells, dtype=np.uint16)[:, None, None]
         columns: dict[str, list[list[float]]] = {key: [] for key in measures}  # one per row
         for row, bins in zip(spacings, binned):
             if not bins:
@@ -548,13 +558,10 @@ def _features(
                 for key in measures:
                     columns[key].append([feats[key] for feats in per_tile])
                 continue
-            vals: dict[str, list[list[float]]] = {key: [] for key in measures}  # one per spacing
-            for s in row:
-                p, h_k, ends = _count_histograms(stack, levels, s, symmetric)
-                for key, measure in measures.items():
-                    vals[key].append(_values(measure.kind, _order(measure), p, h_k, ends, cells))
-            for key, v in vals.items():
-                columns[key].append([sum(x) / len(x) for x in zip(*v)])
+            p, h_k, ends = _count_histograms(base, stack, levels, row, symmetric, work)
+            for key, (kind, order) in specs.items():
+                vals = _values(kind, order, p, h_k, ends, cells)  # spacing by spacing
+                columns[key].append([sum(vals[t::m]) / len(row) for t in range(m)])
         for key, rows in columns.items():
             out[key] += zip(*rows)
     return out

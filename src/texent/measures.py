@@ -446,10 +446,13 @@ _VALUE_NEAR_ONE = {
 }
 
 
-def _order(measure: EntropyMeasure) -> "float | None":
-    return measure.alpha if measure.alpha is not None else measure.q
+def _spec(measure: EntropyMeasure) -> tuple[str, "float | None"]:
+    if not isinstance(measure, EntropyMeasure):
+        raise DomainError(f"measure must be an EntropyMeasure, got {measure!r}")
+    return measure.kind, measure.alpha if measure.alpha is not None else measure.q
 
 
 def apply_measure(measure: EntropyMeasure, dist: ProbDist) -> float:
     """Evaluate the selected measure on a distribution, passing its order if any."""
-    return _evaluate(measure.kind, dist, _order(measure))
+    kind, order = _spec(measure)
+    return _evaluate(kind, dist, order)

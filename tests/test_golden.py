@@ -6,9 +6,11 @@ numpy's streams nor one to the package's own PGM writer can move them.  Each
 case runs ``texent.cli.run`` and hashes its stdout together with every file
 it writes.  Cases that take ``--threads`` run with 1 and with 2, which must
 give the same bytes; the flag is checked but every job runs on one thread.
-The 30 calls cover ``entropy`` (also on a hand-written ASCII P2 image),
+The 32 calls cover ``entropy`` (also on a hand-written ASCII P2 image),
 ``glcm``, ``fbim`` for three features, and ``classify``/``compare`` in split,
-``--trials``, ``--test`` and centroid modes.  Twelve more calls pin the
+``--trials``, ``--test`` and centroid modes.  ``compare-binned`` runs at 8
+gray levels, where every distance of every measure is counted from stacked
+tiles without ``--symmetric``.  Twelve more calls pin the
 usage, help and usage-error text with the exit status: no command,
 ``--help``, each command's ``--help``, an unknown command, a missing
 required flag, a flag of the wrong type and an unknown flag.  Help is wrapped
@@ -122,6 +124,8 @@ CASES = {
     "compare-centroid": (["compare", "--train", "{train}", "--classifier", "centroid",
                           "--levels", "16", "--dist", "1", "--symmetric"],
                          ("--report", "--features-out"), True),
+    "compare-binned": (["compare", "--train", "{train}", "--levels", "8", "--drange", "1:3"],
+                       ("--report", "--features-out"), True),
 }
 
 GOLDEN = {
@@ -131,6 +135,7 @@ GOLDEN = {
     "classify-split": "03a5a617cee86e080bf10cee83b37440a7e2e6856a8b90eb4bfe9eda1f66a861",
     "classify-test": "73751834b18a31acfa1f6041ee17c12b8d72bd5250ff12640a924336a15ed2a4",
     "classify-trials": "573eb78880158a7f2de4f19b95b7d892dbb37ccbcf944de863f8ea0245514718",
+    "compare-binned": "f00d87e3a75cafa883d602ad5e85efe2f633f632e8b3ffc54b892558f9fd19ad",
     "compare-centroid": "42c087d85f384774e305b3b694707e1c81ec69ff75d6cda82e1788121aa87187",
     "compare-split": "cb611b796b029618a57993493c1960230a647fd6536c18c2f75d12fc09a675e1",
     "compare-test": "7ea46c0cd2f77d3a6b770fbe4b74fdd6a84ffbe7fa83e9be8f338b4208022413",

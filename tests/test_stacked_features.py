@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import texent.dataset
 from texent import (
     FEATURE_ANGLES,
     MEASURE_KINDS,
@@ -17,6 +18,7 @@ from texent import (
     build_feature_sets,
     compute_glcm,
     extract_feature,
+    glcm_entropy,
     glcp,
 )
 
@@ -97,3 +99,47 @@ def test_stacked_features_take_memory_bounded_by_the_chunk():
     small, large = _peak_bytes(64), _peak_bytes(512)
     assert large < 1 << 20
     assert large - small < 1 << 18
+
+
+@pytest.mark.parametrize("symmetric, binned_distances", [(False, [1, 4]), (True, [1, 4, 11])])
+def test_each_angle_of_a_distance_keeps_its_own_pair_count(symmetric, binned_distances,
+                                                            monkeypatch):
+    # On 20 x 12 tiles the four angles of a distance count different numbers
+    # of pairs: at d = 4, 16 * 12, 16 * 8, 20 * 8 and 16 * 8.  At d = 11 only
+    # a symmetric 45 or 135 degree GLCM has its 16 cells (2 * 9 pairs).
+    # Chunks of 3 tiles split the 8 tiles into 3 chunks.
+    monkeypatch.setattr(texent.dataset, "_CHUNK_BYTES", 3 * 8 * (20 * 12 + 4 * 4))
+    rng = np.random.default_rng(20)
+    images = [GrayImage(rng.integers(0, 4, (12, 20)), 4) for _ in range(8)]
+    measures = {kind: EntropyMeasure.select(kind, 2.0, 0.6) for kind in MEASURE_KINDS}
+    calls = []
+    original = texent.dataset._count_histograms
+    monkeypatch.setattr(texent.dataset, "_count_histograms",
+                        lambda *args: calls.append(args) or original(*args))
+    got = build_feature_sets([("c", f"t{k}", img) for k, img in enumerate(images)],
+                             measures, [1, 4, 11], symmetric)
+    for key, measure in measures.items():
+        for img, record in zip(images, got[key].records):
+            want = np.array(_per_cell(img, measure, [1, 4, 11], symmetric))
+            assert np.array(record.features).tobytes() == want.tobytes(), key
+    assert [args[3] for args in calls] == [[SpacingVector(d, theta) for theta in FEATURE_ANGLES]
+                                           for d in binned_distances] * 3
+    assert [len(args[1]) for args in calls[::len(binned_distances)]] == [3, 3, 2]
+
+
+def test_a_measure_that_is_not_an_entropy_measure_rejected(monkeypatch):
+    img = GrayImage(np.arange(64).reshape(8, 8) % 4, 4)
+    message = "^measure must be an EntropyMeasure, got 'proposed'$"
+    with pytest.raises(DomainError, match=message):
+        apply_measure("proposed", glcp(compute_glcm(img, SpacingVector(1, 0))))
+    with pytest.raises(DomainError, match="^measure must be an EntropyMeasure, got 'correlation'$"):
+        glcm_entropy(compute_glcm(img, SpacingVector(1, 0)), "correlation")
+    calls = []
+    for name in ("_count_histograms", "_extract_multi"):  # no tile is counted first
+        monkeypatch.setattr(texent.dataset, name, lambda *args: calls.append(args))
+    with pytest.raises(DomainError, match=message):
+        extract_feature(img, "proposed", [1, 7])
+    with pytest.raises(DomainError, match=message):
+        build_feature_sets([("c", "t0", img), ("c", "t1", img)],
+                           {"p": EntropyMeasure("proposed"), "x": "proposed"}, [1, 7])
+    assert calls == []
