@@ -87,9 +87,9 @@ _P2_CLASS = bytes(0 if 48 <= b <= 57 else 1 if bytes([b]).isspace() else 2
 
 def _p2_values(raster: bytes, count: int, maxval: int) -> "np.ndarray | None":
     # The first ``count`` words of a blanked raster as pixel values, or None
-    # unless each is all digits, no longer than int() converts, and at most
-    # maxval.  A value is the word's last three digits; an earlier nonzero
-    # digit puts it above 255.
+    # unless each is all digits, no longer than int() converts (no limit, 0,
+    # before Python 3.10.7), and at most maxval.  A value is the word's last
+    # three digits; an earlier nonzero digit puts it above 255.
     padded = b"   " + raster + b" "  # so a word's last three indices are >= 0
     cls = np.frombuffer(padded.translate(_P2_CLASS), dtype=np.uint8)
     space = cls == 1
@@ -99,7 +99,7 @@ def _p2_values(raster: bytes, count: int, maxval: int) -> "np.ndarray | None":
     last = edges[1 : 2 * count : 2]  # each word's last byte
     length = last - edges[0 : 2 * count : 2]
     end = last[-1] + 1
-    if cls[:end].max() > 1 or 0 < sys.get_int_max_str_digits() < length.max():
+    if cls[:end].max() > 1 or 0 < getattr(sys, "get_int_max_str_digits", int)() < length.max():
         return None
     digit = np.frombuffer(padded.translate(_P2_DIGIT), dtype=np.uint8)
     ones, tens, hundreds = (digit[last - k].astype(np.intp) for k in range(3))

@@ -234,13 +234,6 @@ def _runs(ordered: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return starts, runs
 
 
-def _pair_codes(a: np.ndarray, b: np.ndarray, levels: int, dtype) -> np.ndarray:
-    codes = a.astype(dtype)  # widened first: a pair code reaches 65 535
-    codes *= levels
-    codes += b
-    return codes.ravel()
-
-
 def _pair_blocks(px: np.ndarray, spacing: SpacingVector) -> tuple[np.ndarray, np.ndarray]:
     # The blocks (a, b) of the last two axes of ``px`` whose elements pair up
     # along the spacing: b is a shifted by its offset.
@@ -274,13 +267,11 @@ def compute_glcm(
     """
     a, b = _pair_blocks(img.pixels, spacing)
     levels = img.levels
-    cells = levels * levels
     binned = _binned(levels, a.size, symmetric)
-    dtype = np.intp if binned else np.uint16  # bincount's own type, or a cheap sort
-    codes = _pair_codes(a, b, levels, dtype)
-    if symmetric:
-        codes = np.concatenate((codes, _pair_codes(b, a, levels, dtype)))
-    tally = np.bincount(codes, minlength=cells) if binned else np.sort(codes)
+    # uint16, as a pair code reaches 65 535; with symmetric the reversed pairs follow.
+    codes = np.multiply(np.concatenate((a, b)) if symmetric else a, levels, dtype=np.uint16)
+    codes += np.concatenate((b, a)) if symmetric else b
+    tally = np.bincount(codes.ravel(), minlength=levels * levels) if binned else np.sort(codes, None)
     return Glcm._of_tally(tally, binned, codes.size, levels, spacing)
 
 

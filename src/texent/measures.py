@@ -303,7 +303,7 @@ def entropy_bounds(n: int) -> tuple[float, float]:
     exp(-1/n**2) by the uniform one.
     """
     n = _integer(n, "n", 1)
-    return H_MIN, math.exp(-1.0 / (n * n))
+    return H_MIN, math.exp(-1 / (n * n))  # int division, rounded once: n * n may pass any float
 
 
 def normalized_entropy(dist: ProbDist) -> float:

@@ -2,6 +2,7 @@
 
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -246,6 +247,15 @@ class TestPgmLoad:
             return img.pixels.tolist(), img.levels
 
         assert _outcome(load, data) == _outcome(_token_loop_p2, data)
+
+    @pytest.mark.parametrize("data, pixels", [
+        (b"P2 2 1 9 1 2", [[1, 2]]),
+        (b"P2 2 1 9 1 " + b"0" * 4300 + b"2", [[1, 2]]),  # no digit limit to stay under
+    ], ids=["short", "4301-digit"])
+    def test_p2_without_a_digit_limit(self, monkeypatch, data, pixels):
+        # Python before 3.10.7 has no sys.get_int_max_str_digits, nor a limit.
+        monkeypatch.delattr(sys, "get_int_max_str_digits")
+        assert load_pgm(data).pixels.tolist() == pixels
 
     @given(st.data())
     def test_p5_round_trip_any_shape_and_levels(self, data):

@@ -6,12 +6,15 @@ numpy's streams nor one to the package's own PGM writer can move them.  Each
 case runs ``texent.cli.run`` and hashes its stdout together with every file
 it writes.  Cases that take ``--threads`` run with 1 and with 2, which must
 give the same bytes; the flag is checked but every job runs on one thread.
-The 32 calls cover ``entropy`` (also on a hand-written ASCII P2 image),
-``glcm``, ``fbim`` for three features, and ``classify``/``compare`` in split,
+The 37 calls cover ``entropy`` (also on a hand-written ASCII P2 image),
+``glcm``, ``fbim`` for five features, and ``classify``/``compare`` in split,
 ``--trials``, ``--test`` and centroid modes.  ``compare-binned`` runs at 8
 gray levels, where every distance of every measure is counted from stacked
-tiles without ``--symmetric``.  Twelve more calls pin the
-usage, help and usage-error text with the exit status: no command,
+tiles without ``--symmetric``.  ``fbim-binned``, ``fbim-binned-symmetric``
+and ``glcm-binned`` run at 16 or 8 gray levels, where every one of their
+:func:`texent.glcm.compute_glcm` calls bins its pair codes, so a binned
+per-cell GLCM reaches a measure and the matrix printer.  Twelve more calls
+pin the usage, help and usage-error text with the exit status: no command,
 ``--help``, each command's ``--help``, an unknown command, a missing
 required flag, a flag of the wrong type and an unknown flag.  Help is wrapped
 to the terminal width, so those calls run with ``COLUMNS=80``.
@@ -96,11 +99,18 @@ CASES = {
                      "--levels", "16"], (), False),
     "glcm-file": (["glcm", "{image}", "--dist", "3", "--angle", "270",
                    "--symmetric"], ("--out",), False),
+    "glcm-binned": (["glcm", "{image}", "--dist", "1", "--angle", "135", "--levels", "8",
+                     "--symmetric"], (), False),
     "fbim-proposed": (["fbim", "{image}", "--dmax", "6"], ("--out", "--csv"), True),
     "fbim-correlation": (["fbim", "{image}", "--feature", "correlation", "--dmax", "6"],
                          ("--out", "--csv"), True),
     "fbim-tsallis": (["fbim", "{image}", "--feature", "tsallis", "--q", "3",
                       "--dmax", "6", "--symmetric"], ("--out", "--csv"), True),
+    "fbim-binned": (["fbim", "{image}", "--levels", "16", "--feature", "shannon",
+                     "--dmax", "6"], ("--out", "--csv"), True),
+    "fbim-binned-symmetric": (["fbim", "{image}", "--levels", "8", "--feature", "renyi",
+                               "--alpha", "0.5", "--dmax", "6", "--symmetric"],
+                              ("--out", "--csv"), True),
     "classify-split": (["classify", "--train", "{train}", "--drange", "1:3",
                         "--seed", "7"], ("--report", "--features-out"), True),
     "classify-trials": (["classify", "--train", "{train}", "--drange", "1:3",
@@ -144,9 +154,13 @@ GOLDEN = {
     "entropy-drange": "59b2e646d6e64f3be7aa64d4e2dda5fb6c9f64bb447a52a49f4bc670e2efd35e",
     "entropy-normalized": "b9c855fd61e10a7dc3251adf9383406ea1efb32303be9006ebcb650746aa7c29",
     "entropy-renyi": "03129c1ef45402a1864093bf042dcf571874279905677919da9e0837d006b597",
+    "fbim-binned": "804c5848a1e126670c02985a00cfefcd887637dbe6b8a5e46f0831b05870045e",
+    "fbim-binned-symmetric":
+        "8ea9f590dacb26c399b61cfee8a716d6e82bfb9612f823591c8bbea0f2a6a0d2",
     "fbim-correlation": "e174efc8c8a094bd03e53b66db6f5807965bce381da365b8e1a6c2b73771c365",
     "fbim-proposed": "140f42cc2e35921fa3fbc70fecc85f6fe1c6e55fc4c230705048fdf21f454710",
     "fbim-tsallis": "534a64d24e80cab301933eb9ab6bbc88d55d2b1a2e7ddd56c5a3017126d52631",
+    "glcm-binned": "d105cd98b1758e82b3fdc30b8b34c937b4213d897067172a2268b6e95a4f2a7d",
     "glcm-file": "9cfab3b52f25da84a360213ec4ee2fecdc90db93a0ee3a96fd57973202f3b075",
     "glcm-stdout": "e6d5978e48218de45412edc51def678637046a2f896063cc6a08ac9d8ec2ab62",
 }

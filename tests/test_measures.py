@@ -208,6 +208,16 @@ class TestEntropyBounds:
         with pytest.raises(DomainError):
             entropy_bounds(0)
 
+    @pytest.mark.parametrize("n", [2**512, 10**200, 2**5000], ids=["2**512", "10**200", "2**5000"])
+    def test_n_squared_past_any_float(self, n):
+        # -1 / n**2 underflows to zero, where converting n**2 to a float overflowed.
+        assert entropy_bounds(n) == (H_MIN, 1.0)
+
+    def test_same_bits_as_float_division(self):
+        # n * n reaches 2**53 at 94 906 266 and 2**63 past 3 037 000 499.
+        for n in [*range(1, 2000), 70_000, 94_906_266, 3_037_000_500, 10**12]:
+            assert entropy_bounds(n)[1] == math.exp(-1.0 / (n * n)), n
+
 
 class TestNormalizedEntropy:
     @pytest.mark.parametrize("n", [2, 3, 7, 64])

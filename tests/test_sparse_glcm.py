@@ -180,11 +180,16 @@ def _image(seed, h, w, levels, spread):
        symmetric=st.booleans())
 @example(seed=0, h=14, w=14, levels=3, spread=3, d=1, theta=0, symmetric=True)
 @example(seed=1, h=3, w=3, levels=256, spread=256, d=1, theta=315, symmetric=False)
+# 257 x 257 at L = 256: both bin, and hold a (255, 255) pair, the largest code 65 535.
+@example(seed=4, h=257, w=257, levels=256, spread=256, d=1, theta=0, symmetric=False)
+@example(seed=8, h=257, w=257, levels=256, spread=256, d=1, theta=315, symmetric=True)
 def test_sort_and_bincount_counting_agree(seed, h, w, levels, spread, d, theta, symmetric):
     img = _image(seed, h, w, levels, spread)
     d = min(d, h - 1, w - 1)
     spacing = SpacingVector(d, theta)
     codes = _pair_codes(img, spacing, symmetric)
+    if h > 14:  # an explicit example, past the drawn sizes
+        assert codes.max() == levels * levels - 1
     want = np.unique(codes, return_counts=True)
     # The dense matrix built from the cells is the bincount matrix, by either branch.
     matrix = np.bincount(_pair_codes(img, spacing, False), minlength=levels * levels)
