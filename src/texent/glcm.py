@@ -271,7 +271,9 @@ def compute_glcm(
     # uint16, as a pair code reaches 65 535; with symmetric the reversed pairs follow.
     codes = np.multiply(np.concatenate((a, b)) if symmetric else a, levels, dtype=np.uint16)
     codes += np.concatenate((b, a)) if symmetric else b
-    tally = np.bincount(codes.ravel(), minlength=levels * levels) if binned else np.sort(codes, None)
+    tally = np.bincount(codes.ravel(), minlength=levels * levels) if binned else codes.ravel()
+    if not binned:  # in place, on a view of the fresh codes: a copy would double the peak
+        tally.sort()
     return Glcm._of_tally(tally, binned, codes.size, levels, spacing)
 
 
@@ -340,32 +342,25 @@ def _correlations(img: GrayImage, spacings, symmetric: bool) -> list[float]:
 
     The integer moments of all spacings come from the whole image at once:
     sum(i) and sum(i**2) over each pixel block are box sums over summed-area
-    tables of the pixels and of their squares.  For sum(i*j) the rows are laid
-    end to end in one float64 array, each followed by pad = max|dx| zeros, so
-    the pairs at offset (dy, dx) are the products at distance
-    k = |dy * (w + pad) + dx| in it.  No other two pixels lie k apart: their
-    column step would be dx + (w + pad) or dx - (w + pad), at least w in size.
-    Every product is an integer of at most 255**2, so any sum of them is exact
-    below 2**53, that is for images of up to 1.38e11 pixels, whose int64 copy
-    here would take over 1 TB.  Each value is then formed as
-    :func:`correlation` forms it, so the two agree bit for bit.
+    tables of the pixels and of their squares, and sum(i*j) is the dot
+    product of the two pixel blocks that :func:`compute_glcm` pairs, taken
+    over one float64 copy of the pixels.  Every product is an integer of at
+    most 255**2, so any sum of them is exact below 2**53, that is for images
+    of up to 1.38e11 pixels, whose float64 copy here would take over 1 TB.
+    Each value is then formed as :func:`correlation` forms it, so the two
+    agree bit for bit.
     """
     px = img.pixels.astype(np.int64)
     sq = px * px
     h, w = px.shape
-    offsets = np.array([offset_of(s) for s in spacings])
-    dx, dy = offsets.T
+    dx, dy = np.array([offset_of(s) for s in spacings]).T
     # The pairs (a, b) of compute_glcm's two blocks; b is a shifted by (dy, dx).
     r0, r1 = np.maximum(-dy, 0), h - np.maximum(dy, 0)
     c0, c1 = np.maximum(-dx, 0), w - np.maximum(dx, 0)
-    row = w + int(np.abs(dx).max())
-    flat = np.zeros((h, row))
-    flat[:, :w] = px
-    flat = flat.ravel()
+    f = img.pixels.astype(np.float64)
     # einsum, not `@`: BLAS splits a long dot product over threads, and waking
     # them stalled one map in a hundred by about 12 ms on a busy 2-CPU machine.
-    sab = np.array([int(np.einsum("i,i", flat[:flat.size - k], flat[k:]))
-                    for k in np.abs(dy * row + dx).tolist()])
+    sab = np.array([int(np.einsum("ij,ij", *_pair_blocks(f, s))) for s in spacings])
 
     n = (r1 - r0) * (c1 - c0)
     sums, squares = _summed_area(px), _summed_area(sq)

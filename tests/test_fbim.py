@@ -159,6 +159,7 @@ class TestCorrelationFromAutocorrelation:
     @example(seed=1, h=24, w=9, levels=256, spread=256, sparse=False, d_max=8,
              symmetric=True)
     @example(seed=2, h=2, w=24, levels=2, spread=2, sparse=False, d_max=1, symmetric=False)
+    @example(seed=3, h=24, w=3, levels=256, spread=256, sparse=False, d_max=2, symmetric=True)
     def test_equals_the_per_cell_path_bit_for_bit(self, seed, h, w, levels, spread, sparse,
                                                   d_max, symmetric):
         # Sparse images are near-constant, so some or all of their cells are NaN.
@@ -202,9 +203,9 @@ class TestCorrelationFromAutocorrelation:
         assert np.isnan(_correlations(full_range, spacings, False)).all()
 
     @pytest.mark.parametrize("symmetric", [False, True])
-    def test_vertical_spacings_need_no_padding(self, symmetric):
-        # No spacing at 90 or 270 degrees steps a column, so the rows are laid
-        # end to end unpadded.
+    def test_vertical_spacings_pair_full_width_rows(self, symmetric):
+        # A spacing at 90 or 270 degrees steps no column, so its two pixel
+        # blocks are full-width bands of rows, down to one row each at d = 22.
         img = noise_image(17, 23, seed=9)
         spacings = [SpacingVector(d, theta) for theta in (90, 270) for d in range(1, 23)]
         assert _correlations(img, spacings, symmetric) == \

@@ -447,13 +447,28 @@ def test_one_spacing_vector_allocates_less_than_a_dense_matrix(feature, theta):
     spacing = SpacingVector(1, theta)
     evaluate = {"entropy": lambda g: glcm_entropy(g, EntropyMeasure("proposed")),
                 "correlation": correlation}[feature]
-    evaluate(compute_glcm(img, spacing))
+    assert _peak_of(lambda: evaluate(compute_glcm(img, spacing)))[1] < 256 * 256 * 8
+
+
+@pytest.mark.parametrize("symmetric", [False, True])
+def test_sorted_codes_are_sorted_in_place(symmetric):
+    # A sorted copy of the uint16 pair codes would take the peak past twice
+    # their bytes.  Besides them it holds NumPy's buffer for casting uint8
+    # pixels to uint16 and, when symmetric, the stacked pixel blocks.
+    img = noise_image(128, 128, seed=17, levels=256)
+    g, peak = _peak_of(lambda: compute_glcm(img, SpacingVector(1, 0), symmetric))
+    assert not g._binned
+    assert peak < 1.85 * g.total * np.dtype(np.uint16).itemsize
+
+
+def _peak_of(call):
+    """(result, tracemalloc peak above the memory already traced) of a warm ``call()``."""
+    call()
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
         before = tracemalloc.get_traced_memory()[0]
-        evaluate(compute_glcm(img, spacing))
-        peak = tracemalloc.get_traced_memory()[1] - before
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    assert peak < 256 * 256 * 8
