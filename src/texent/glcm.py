@@ -130,12 +130,12 @@ class Glcm:
     ``counts`` is an L x L integer matrix; ``counts[i, j]`` is the number of
     pixel positions holding gray level i whose offset neighbor holds j.  A
     Glcm made by :func:`compute_glcm` keeps only its tally of the pair codes
-    i * L + j; :attr:`cells`, its nonzero cells, and ``counts`` (read-only;
-    a view of the tally when that is L * L bins) are built from it on first
-    access.  A Glcm constructed from a square matrix keeps a read-only copy
-    of it and finds its cells there; every feature of one whose counts are
-    not integers, include a negative one, or total 2**53 or more, raises
-    :class:`DomainError`.
+    i * L + j: the L * L bins, which ``counts`` views read-only, or the codes
+    sorted, from which ``counts`` is built on first access.  :attr:`cells`,
+    its nonzero cells, are found on first access.  A Glcm constructed from a
+    square matrix keeps a read-only copy of it and finds its cells there;
+    every feature of one whose counts are not integers, include a negative
+    one, or total 2**53 or more, raises :class:`DomainError`.
     """
 
     __slots__ = ("_spacing", "_levels", "_counts", "_cells", "_total", "_tally", "_binned")
@@ -156,9 +156,11 @@ class Glcm:
     def _of_tally(cls, tally: np.ndarray, binned: bool, total: int, levels: int,
                   spacing: SpacingVector) -> "Glcm":
         # ``tally`` holds the L * L bins of the pair codes when ``binned``, else
-        # the ``total`` pair codes sorted.
+        # the ``total`` pair codes sorted.  Bins already are the counts, row-major.
+        tally.setflags(write=False)
         g = cls.__new__(cls)
-        g._counts = g._cells = None
+        g._cells = None
+        g._counts = tally.reshape(levels, levels) if binned else None
         g._tally, g._binned, g._total, g._levels, g._spacing = tally, binned, total, levels, spacing
         return g
 
@@ -172,13 +174,10 @@ class Glcm:
 
     @property
     def counts(self) -> np.ndarray:
-        if self._counts is None:
-            counts = self._tally  # the L * L bins already are the counts, row-major
-            if not self._binned:  # sorted pair codes: their cells scattered into zeros
-                codes, values = self.cells
-                counts = np.zeros(self._levels * self._levels, dtype=np.intp)
-                counts[codes] = values
-            counts = counts.reshape(self._levels, self._levels)
+        if self._counts is None:  # sorted pair codes: their cells scattered into zeros
+            codes, values = self.cells
+            counts = np.zeros((self._levels, self._levels), dtype=np.intp)
+            counts.reshape(-1)[codes] = values
             counts.setflags(write=False)
             self._counts = counts
         return self._counts
@@ -187,11 +186,11 @@ class Glcm:
     def cells(self) -> tuple[np.ndarray, np.ndarray]:
         """(codes, counts) of the nonzero cells, by ascending code i * L + j."""
         if self._cells is None:
-            if self._tally is not None and not self._binned:
+            if self._counts is None:  # sorted pair codes, the one tally without counts
                 starts, values = _runs(self._tally)
                 codes = self._tally[starts]
-            else:  # the L * L bins of a tally, or a matrix flattened
-                flat = self._counts.reshape(-1) if self._tally is None else self._tally
+            else:  # a matrix, or the L * L bins of a tally, flattened
+                flat = self._counts.reshape(-1)
                 if not np.issubdtype(flat.dtype, np.integer):
                     raise DomainError(f"co-occurrence counts must be integers, got {flat.dtype}")
                 codes = flat.nonzero()[0]

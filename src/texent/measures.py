@@ -97,9 +97,9 @@ class ProbDist:
     ``PROB_SUM_TOL``; nothing is rescaled silently.  Use :meth:`normalize`
     to build a distribution from unnormalized non-negative weights.
 
-    A distribution made from integer counts (as :func:`texent.glcp` makes
-    one) holds each distinct nonzero probability and how many outcomes share
-    it, and builds :attr:`probs` only when asked for it.
+    It holds its nonzero probabilities, each with how many outcomes share it
+    (one, unless made from integer counts as :func:`texent.glcp` makes one,
+    which holds each distinct value once and builds :attr:`probs` on demand).
     """
 
     __slots__ = ("_probs", "_n", "_dense_probs", "_hist")
@@ -107,7 +107,7 @@ class ProbDist:
     def __init__(self, probs: Iterable[float]):
         self._probs = _checked(probs, 1, "probability vector")
         self._n = self._probs.size
-        self._hist = None
+        self._hist = (self._probs[self._probs > 0.0], 1)
 
     @classmethod
     def _of_histogram(cls, p: np.ndarray, multiplicity: np.ndarray, n: int,
@@ -132,13 +132,6 @@ class ProbDist:
             probs.setflags(write=False)
             self._probs = probs
         return self._probs
-
-    def _outcomes(self) -> tuple[np.ndarray, "np.ndarray | None"]:
-        # The nonzero probabilities, each once with its multiplicity when the
-        # distribution was made from counts, else every one (multiplicity None).
-        if self._hist is not None:
-            return self._hist
-        return self._probs[self._probs > 0.0], None
 
     @property
     def n(self) -> int:
@@ -254,11 +247,11 @@ def info_gain(p: float) -> float:
     return math.exp(-(p * p))
 
 
-def _gauss(p: np.ndarray, order=None, p_max=None) -> np.ndarray:
+def _gauss(p: np.ndarray, order, p_max) -> np.ndarray:
     return p * np.exp(-(p * p))
 
 
-def _power_excess(p: np.ndarray, order: float, p_max=None) -> np.ndarray:
+def _power_excess(p: np.ndarray, order: float, p_max) -> np.ndarray:
     return p * np.expm1((order - 1.0) * np.log(p))  # p**order - p
 
 
@@ -266,7 +259,7 @@ def _values(kind: str, order: "float | None", p: np.ndarray, multiplicity, ends:
             n: int) -> list[float]:
     # The measure on each of several distributions over n outcomes, the r-th
     # the nonzero p[ends[r - 1]:ends[r]], each shared by multiplicity[i] outcomes
-    # (by one if None).  Each S = sum(phi(p_i)), as sum_k h_k * phi(k/N) when
+    # (one each when it is 1).  Each S = sum(phi(p_i)), as sum_k h_k * phi(k/N) when
     # h_k cells hold count k of N, is one exactly rounded fsum of its own terms.
     phi, value = _PHI[kind]
     if order is not None and abs(order - 1.0) <= _NEAR_ONE:
@@ -276,14 +269,13 @@ def _values(kind: str, order: "float | None", p: np.ndarray, multiplicity, ends:
     if kind == RENYI:
         p_max = np.maximum.reduceat(p, starts)
         each = np.repeat(p_max, np.subtract(ends, starts))
-    terms = phi(p, order, each)
-    terms = (terms if multiplicity is None else multiplicity * terms).tolist()
+    terms = (multiplicity * phi(p, order, each)).tolist()
     return [value(math.fsum(terms[a:b]), order, top, n)
             for a, b, top in zip(starts, ends, p_max)]
 
 
 def _evaluate(kind: str, dist: ProbDist, order: "float | None" = None) -> float:
-    p, multiplicity = dist._outcomes()
+    p, multiplicity = dist._hist
     return _values(kind, order, p, multiplicity, [p.size], dist.n)[0]
 
 
@@ -394,7 +386,8 @@ def conditional_entropy_y_given_x(joint: JointDist) -> float:
 
 def joint_entropy(joint: JointDist) -> float:
     """Gaussian-gain entropy of the joint: sum(p(x, y) * exp(-p(x, y)**2))."""
-    return float(np.sum(_gauss(joint.cells)))
+    p = joint.cells[joint.cells > 0.0]
+    return _values(PROPOSED, None, p, 1, [p.size], joint.cells.size)[0]
 
 
 def relative_entropy(p_dist: ProbDist, q_dist: ProbDist) -> float:

@@ -299,6 +299,18 @@ class TestFbimCommand:
         cells = [float(v) for row in rows for v in row.split(",")]
         assert len(cells) == 24 and np.isfinite(cells).all()
 
+    @pytest.mark.parametrize("order", [["--feature", "renyi", "--alpha", "2"],
+                                       ["--feature", "tsallis", "--q", "0.5"]])
+    def test_zero_cells_print_without_a_sign(self, order, tmp_path):
+        # On a constant image every cell holds all pairs: Renyi's value is
+        # -0.0 for alpha > 1, and Tsallis's for q < 1.
+        src = tmp_path / "flat.pgm"
+        write_pgm(src, GrayImage(np.full((16, 16), 7), levels=256))
+        out_csv = tmp_path / "map.csv"
+        assert run(["fbim", str(src), *order, "--dmax", "3",
+                    "--out", str(tmp_path / "map.pgm"), "--csv", str(out_csv)]) == 0
+        assert out_csv.read_text() == "1,2,3\n" + "0,0,0\n" * 8
+
     def test_dmax_too_large(self, tmp_path, capsys):
         src = tmp_path / "img.pgm"
         write_pgm(src, noise_image(16, 16, seed=5))
@@ -531,6 +543,34 @@ class TestSharedPipeline:
         assert ("a/t9" if test_dir else "b/t1") in err and "16" in err and "256" in err
         # Quantizing every tile to 16 levels makes the corpus consistent.
         assert run(argv + ["--levels", "16"]) == 0
+
+    @pytest.mark.parametrize("test_dir", [False, True])
+    @pytest.mark.parametrize("command", ["classify", "compare"])
+    def test_levels_too_high_for_a_tile_name_the_flag(self, command, test_dir, tmp_path,
+                                                      capsys):
+        # --levels 16 quantizes a 256-level tile to 16 levels but leaves an
+        # 8-level one at 8, so the tiles still differ and the error says how to
+        # make them alike.
+        train = tmp_path / "train"
+        for cls in ("a", "b"):
+            (train / cls).mkdir(parents=True)
+            for i in range(2):
+                levels = 8 if (cls, i) == ("b", 1) and not test_dir else 256
+                write_pgm(train / cls / f"t{i}.pgm", noise_image(16, 16, i, levels))
+        argv = [command, "--train", str(train), "--dist", "1", "--levels", "16",
+                "--report", str(tmp_path / "r.csv")]
+        if test_dir:
+            (tmp_path / "test" / "a").mkdir(parents=True)
+            write_pgm(tmp_path / "test" / "a" / "t9.pgm", noise_image(16, 16, 9, 8))
+            argv += ["--test", str(tmp_path / "test")]
+        assert run(argv) == 1
+        tile = "a/t9" if test_dir else "b/t1"
+        assert capsys.readouterr().err == (
+            f"error: tile {tile} has 8 gray levels but a/t0 has 16"
+            "; use --levels to quantize every tile alike\n")
+        assert not (tmp_path / "r.csv").exists()
+        # At 8 levels every tile is alike.
+        assert run(argv + ["--levels", "8"]) == 0
 
     @pytest.mark.parametrize("test_dir", [False, True])
     def test_mixed_tile_shapes_rejected(self, tmp_path, capsys, test_dir):

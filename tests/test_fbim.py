@@ -21,11 +21,13 @@ from texent import (
     Fbim,
     GrayImage,
     SpacingVector,
+    apply_measure,
     compute_fbim,
     compute_glcm,
     correlation,
     fbim_to_csv,
     fbim_to_image,
+    glcp,
 )
 from texent._text import sig15
 from texent.errors import DegenerateVarianceError
@@ -148,6 +150,33 @@ def _per_cell_map(img, d_max, symmetric):
 
 def _half_spacings(d_max):
     return [SpacingVector(d, theta) for theta in ANGLES[:4] for d in range(1, d_max + 1)]
+
+
+class TestEntropyCellsEqualTheLibraryChain:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), h=st.integers(2, 16), w=st.integers(2, 16),
+           levels=st.integers(2, 256), spread=st.integers(1, 256), d_max=st.integers(1, 15),
+           symmetric=st.booleans(), kind=st.sampled_from(MEASURE_KINDS),
+           order=st.one_of(st.sampled_from([0.5, 2.0, 1 - 2**-5, 1 + 2**-5]), ORDERS))
+    # At L = 2 most cells bin and the fewest pairs, at d = 15 and 45 degrees,
+    # sort; at L = 256 on 16 x 16 every cell sorts.
+    @example(seed=0, h=16, w=16, levels=2, spread=2, d_max=15, symmetric=False,
+             kind="proposed", order=2.0)
+    @example(seed=1, h=16, w=16, levels=256, spread=256, d_max=15, symmetric=True,
+             kind="renyi", order=1 + 2**-5)
+    @example(seed=2, h=9, w=12, levels=16, spread=16, d_max=8, symmetric=False,
+             kind="tsallis", order=1 - 2**-5)
+    def test_every_cell_is_apply_measure_of_its_glcp(self, seed, h, w, levels, spread,
+                                                       d_max, symmetric, kind, order):
+        rng = np.random.default_rng(seed)
+        img = GrayImage(rng.integers(0, min(spread, levels), size=(h, w)), levels)
+        d_max = min(d_max, h - 1, w - 1)
+        measure = EntropyMeasure.select(kind, order, order)
+        values = compute_fbim(img, measure, d_max=d_max, symmetric=symmetric).values
+        chain = [[apply_measure(measure, glcp(compute_glcm(img, SpacingVector(d, theta),
+                                                           symmetric)))
+                  for d in range(1, d_max + 1)] for theta in ANGLES]
+        assert values.tobytes() == np.array(chain, dtype=np.float64).tobytes()
 
 
 class TestCorrelationFromAutocorrelation:

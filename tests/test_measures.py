@@ -412,6 +412,18 @@ class TestJointEntropy:
             0.7788007830714049, abs=1e-12
         )
 
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40), m=st.integers(1, 40),
+           zeros=st.floats(0.0, 1.0))
+    def test_equals_the_entropy_of_its_cells_bit_for_bit(self, seed, n, m, zeros):
+        # H(X, Y) is summed as H(X) and H(Y) are, so the non-additivity gap
+        # H(X) + H(Y) - H(X, Y) carries no difference of summation order.
+        rng = np.random.default_rng(seed)
+        weights = rng.random((n, m)) * (rng.random((n, m)) >= zeros)
+        weights[rng.integers(n), rng.integers(m)] += 1.0  # at least one nonzero cell
+        joint = JointDist.normalize(weights)
+        assert joint_entropy(joint) == entropy(ProbDist(joint.cells.ravel()))
+
 
 class TestRelativeEntropy:
     def test_identical_is_zero(self):
@@ -508,6 +520,25 @@ class TestEntropyMeasure:
             weights[0] += 0.5
             p = ProbDist.normalize(weights)
             assert apply_measure(measure, p) == direct(p)
+
+    @pytest.mark.parametrize("kind", MEASURE_KINDS)
+    def test_zero_outcomes_leave_every_bit_alone(self, kind):
+        # Zero entries add no term: every measure but the normalized one, whose
+        # bounds depend on n, is the same float with or without them.
+        measure = EntropyMeasure.select(kind, 1.7, 0.6)
+        rng = np.random.default_rng(31)
+        for n in (1, 2, 5, 64):
+            nonzero = rng.random(n) + 0.01
+            weights = np.zeros(3 * n)
+            weights[rng.choice(3 * n, n, replace=False)] = nonzero
+            with_zeros = ProbDist(weights / weights.sum())
+            without = ProbDist(with_zeros.probs[with_zeros.probs > 0])
+            if kind == "proposed-normalized":
+                low, high = entropy_bounds(3 * n)
+                expected = (entropy(without) - low) / (high - low)
+            else:
+                expected = apply_measure(measure, without)
+            assert apply_measure(measure, with_zeros) == expected
 
     @settings(max_examples=100)
     @given(st.lists(st.one_of(st.sampled_from([0.0, 5e-324, 1e-310]), st.floats(0.0, 1.0)),
