@@ -357,17 +357,12 @@ def pal_pal(dist: ProbDist) -> float:
     return _evaluate(PAL_PAL, dist)
 
 
-def _gain_sum(p: np.ndarray, q: np.ndarray) -> float:
-    # sum(p * exp(-(p/q)**2)) where p > 0, so p = 0 cells give 0 even if q = 0.
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        ratio = p / q
-        return float(np.where(p > 0.0, p * np.exp(-ratio * ratio), 0.0).sum())
-
-
-def _conditional(joint: JointDist, axis: int) -> float:
-    # Not the other form on transposed cells, which can differ in the last ulp.
-    cells = joint.cells
-    return _gain_sum(cells, cells.sum(axis=axis, keepdims=True))
+def _gain_sum(p: np.ndarray, q) -> float:
+    # sum(p * exp(-(p/q)**2)): one fsum of the terms q * phi(p/q), q broadcast to p's shape.
+    # A cell with p = 0 or p >= 32q adds 0 (exp(-1024) = 0); leaving it out, p/q stays finite.
+    keep = (p > 0.0) & (q * 32.0 > p)
+    q = np.broadcast_to(q, p.shape)[keep]
+    return _values(PROPOSED, None, p[keep] / q, q, [q.size], p.size)[0]
 
 
 def conditional_entropy_x_given_y(joint: JointDist) -> float:
@@ -376,18 +371,17 @@ def conditional_entropy_x_given_y(joint: JointDist) -> float:
     p(x|y) is the cell divided by its column marginal; cells of zero mass
     contribute exactly 0, including whole columns of zero marginal.
     """
-    return _conditional(joint, 0)
+    return _gain_sum(joint.cells, joint.cells.sum(axis=0))
 
 
 def conditional_entropy_y_given_x(joint: JointDist) -> float:
     """sum over cells of p(x, y) * exp(-p(y|x)**2), mirroring the X|Y form."""
-    return _conditional(joint, 1)
+    return _gain_sum(joint.cells.T, joint.cells.sum(axis=1))
 
 
 def joint_entropy(joint: JointDist) -> float:
     """Gaussian-gain entropy of the joint: sum(p(x, y) * exp(-p(x, y)**2))."""
-    p = joint.cells[joint.cells > 0.0]
-    return _values(PROPOSED, None, p, 1, [p.size], joint.cells.size)[0]
+    return _gain_sum(joint.cells, 1.0)
 
 
 def relative_entropy(p_dist: ProbDist, q_dist: ProbDist) -> float:

@@ -10,7 +10,7 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import ORDERS
 from texent import (
@@ -395,6 +395,39 @@ class TestConditionalEntropy:
             2 * 0.5 * math.exp(-0.25), abs=1e-15
         )
 
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40), zeros=st.floats(0.0, 1.0))
+    def test_one_column_equals_the_entropy_of_its_cells_bit_for_bit(self, seed, n, zeros):
+        # A marginal of exactly 1 makes p(x|y) = p(x, y), so the conditional
+        # entropy is the entropy of the cells, summed by the same rule.
+        rng = np.random.default_rng(seed)
+        weights = rng.random(n) * (rng.random(n) >= zeros)
+        weights[rng.integers(n)] += 1.0  # at least one nonzero cell
+        col = weights / weights.sum()
+        column, row = JointDist(col[:, None]), JointDist(col[None, :])
+        assume(column.marginal_y.probs[0] == 1.0 and row.marginal_x.probs[0] == 1.0)
+        h = entropy(ProbDist(col))
+        assert conditional_entropy_x_given_y(column) == h
+        assert conditional_entropy_y_given_x(row) == h
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40), m=st.integers(1, 40),
+           zeros=st.floats(0.0, 1.0))
+    def test_unchanged_when_the_conditioning_outcomes_are_permuted(self, seed, n, m, zeros):
+        # Not X|Y under a row permutation: the column marginals are then
+        # summed in another order.
+        rng = np.random.default_rng(seed)
+        weights = rng.random((n, m)) * (rng.random((n, m)) >= zeros)
+        weights[rng.integers(n), rng.integers(m)] += 1.0
+        joint = JointDist.normalize(weights)
+        columns, rows = rng.permutation(m), rng.permutation(n)
+        assert conditional_entropy_x_given_y(
+            JointDist(joint.cells[:, columns])
+        ) == conditional_entropy_x_given_y(joint)
+        assert conditional_entropy_y_given_x(
+            JointDist(joint.cells[rows])
+        ) == conditional_entropy_y_given_x(joint)
+
 
 class TestJointEntropy:
     def test_single_cell(self):
@@ -456,6 +489,27 @@ class TestRelativeEntropy:
     def test_length_mismatch(self):
         with pytest.raises(DomainError):
             relative_entropy(ProbDist([1.0]), ProbDist([0.5, 0.5]))
+
+    def test_a_cell_that_q_barely_holds_adds_nothing(self):
+        # p/q overflows to inf, yet the term p * exp(-(p/q)**2) is 0.
+        d = relative_entropy(ProbDist([0.5, 0.5]), ProbDist([1.0, 5e-324]))
+        assert d == pytest.approx(H_MIN - 0.5 * math.exp(-0.25), abs=1e-15)
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40), zeros=st.floats(0.0, 1.0),
+           spread=st.floats(1.0, 40.0))
+    def test_unchanged_when_both_are_permuted_together(self, seed, n, zeros, spread):
+        # Q has zeros, and tiny cells when spread is large, under some of P's
+        # mass, so terms whose gain vanishes are drawn too.
+        rng = np.random.default_rng(seed)
+        p, q = (rng.random(n) ** spread * (rng.random(n) >= zeros) for _ in range(2))
+        p[rng.integers(n)] += 1.0
+        q[rng.integers(n)] += 1.0
+        p, q = ProbDist.normalize(p), ProbDist.normalize(q)
+        order = rng.permutation(n)
+        assert relative_entropy(
+            ProbDist(p.probs[order]), ProbDist(q.probs[order])
+        ) == relative_entropy(p, q)
 
 
 class TestEntropyMeasure:
